@@ -45,7 +45,6 @@ from .heap import (
     PPHIndex,
     audit_index,
     build_index,
-    new_builder,
 )
 from .matching import SegmentWalk, match_pattern, segment_walk
 from .oracle import NaiveTree, naive_match, naive_mrp, naive_pph, naive_sequence_hash_tree, trees_equal
@@ -95,7 +94,6 @@ __all__ = [
     "naive_mrp",
     "naive_pph",
     "naive_sequence_hash_tree",
-    "new_builder",
     "norm",
     "p_match_eq",
     "parse_alphabet_lines",

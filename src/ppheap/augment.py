@@ -81,11 +81,14 @@ def compute_mrp(idx: PPHIndex) -> list[int]:
 
 
 def preorder_intervals(idx: PPHIndex) -> tuple[list[int], list[int]]:
-    """Preorder entry numbers and subtree sizes in deterministic label order."""
+    """Preorder entry numbers and subtree sizes.
+
+    Children are pushed in dict order, not label order: the interval test
+    holds for any preorder, and the numbering is never stored.
+    """
     count = idx.node_count
     enter = [0] * count
     size = [1] * count
-    key = idx.alphabet.label_key
     children = idx.children
     order: list[int] = []
     stack = [ROOT]
@@ -95,9 +98,7 @@ def preorder_intervals(idx: PPHIndex) -> tuple[list[int], list[int]]:
         order.append(v)
         kids = children[v]
         if kids:
-            # pushed in reverse so pops come out in ascending label order
-            for _, ch in sorted(kids.items(), key=lambda kv: key(kv[0]), reverse=True):
-                stack.append(ch)
+            stack.extend(kids.values())
     parents = idx.parents
     for v in reversed(order):
         p = parents[v]

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .augment import augment
-from .coding import Symbol, make_alphabet, parse_pstring
+from .coding import Symbol, make_alphabet, parse_pstring, wildcard_parameters
 from .dot import to_dot
 from .errors import (
     AlphabetFormatError,
@@ -48,30 +48,19 @@ def _read_text_file(path: str, mode: str) -> list[Symbol]:
     return list(content)
 
 
-def _wildcard_parameters(tokens: list[Symbol], constants: list[Symbol]) -> list[Symbol]:
-    """Undeclared tokens, in first-appearance order."""
-    declared = set(constants)
-    seen = set()
-    out = []
-    for tok in tokens:
-        if tok not in declared and tok not in seen:
-            seen.add(tok)
-            out.append(tok)
-    return out
-
-
 def cmd_build(args) -> int:
     constants, parameters = read_alphabet_file(args.alphabet, args.mode)
     raw = _read_text_file(args.text, args.mode)
-    if parameters is None:
-        parameters = _wildcard_parameters(raw, constants)
+    wildcard = parameters is None
+    if wildcard:
+        parameters = wildcard_parameters(raw, constants)
     alphabet = make_alphabet(constants, parameters)
     text = parse_pstring(raw, alphabet)
     started = time.perf_counter()
     idx = build_index(text)
     aug = augment(idx)
     elapsed = time.perf_counter() - started
-    save(IndexBundle(idx, aug, args.mode), args.out)
+    save(IndexBundle(idx, aug, args.mode, wildcard), args.out)
     st = idx.stats()
     print(f"n={st.n} nodes={st.node_count} double={st.double_count} "
           f"depth={st.max_depth} build_s={elapsed:.3f}")
@@ -81,20 +70,16 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     bundle = load(args.index)
     idx = bundle.index
-    if args.recompute:
-        fresh = augment(idx)
-        stored = bundle.augmentation
-        if (fresh.mrp != stored.mrp or fresh.pre_enter != stored.pre_enter
-                or fresh.subtree_size != stored.subtree_size):
-            print("stored augmentation disagrees with recomputation", file=sys.stderr)
-            return EXIT_MISMATCH
-        bundle.augmentation = fresh
     raw = list(args.pattern) if bundle.mode == "char" else args.pattern.split()
     if not raw:
         print("empty pattern", file=sys.stderr)
         return EXIT_BAD_INPUT
+    alphabet = idx.alphabet
+    if bundle.wildcard:
+        alphabet = make_alphabet(alphabet.constants,
+                                 wildcard_parameters(raw, alphabet.constants))
     try:
-        pattern = parse_pstring(raw, idx.alphabet)
+        pattern = parse_pstring(raw, alphabet)
         hits = match_pattern(idx, bundle.augmentation, pattern)
     except (UnknownSymbol, EmptyPattern) as exc:
         print(f"bad pattern: {exc}", file=sys.stderr)
@@ -155,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the brute-force matcher")
-    p.add_argument("--recompute", action="store_true",
-                   help="recompute the augmentation and compare with the stored one")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("selftest", help="randomized checks against the oracle")

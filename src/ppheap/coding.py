@@ -70,7 +70,7 @@ class Alphabet:
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("constants", "parameters", "_const_rank", "_params")
+    __slots__ = ("constants", "parameters", "_const_rank", "_params", "_classes")
 
     def __init__(self, constants: Iterable[Symbol], parameters: Iterable[Symbol]):
         self.constants = tuple(constants)
@@ -88,6 +88,9 @@ class Alphabet:
                 f"symbols declared both constant and parameter: {sorted(overlap)!r}")
         self._const_rank = {sym: i for i, sym in enumerate(self.constants)}
         self._params = frozenset(self.parameters)
+        # one shared PSymbol per declared symbol; PSymbol is immutable
+        self._classes = {sym: PSymbol(sym, False) for sym in self.constants}
+        self._classes.update((sym, PSymbol(sym, True)) for sym in self.parameters)
 
     def is_constant(self, sym: Symbol) -> bool:
         return sym in self._const_rank
@@ -103,11 +106,10 @@ class Alphabet:
 
     def classify(self, sym: Symbol, position: int | None = None) -> PSymbol:
         """Tag a raw symbol as constant or parameter; raise UnknownSymbol otherwise."""
-        if sym in self._params:
-            return PSymbol(sym, True)
-        if sym in self._const_rank:
-            return PSymbol(sym, False)
-        raise UnknownSymbol(sym, position)
+        try:
+            return self._classes[sym]
+        except KeyError:
+            raise UnknownSymbol(sym, position) from None
 
     def label_key(self, label: PrevLabel) -> tuple[int, object]:
         """Sort key realizing the total label order."""
@@ -170,10 +172,23 @@ def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
     ``raw`` is any iterable of symbols: a str in char mode, a token list in
     token mode. Raises UnknownSymbol naming the 1-based offending position.
     """
-    out = []
-    for pos, sym in enumerate(raw, start=1):
-        out.append(alphabet.classify(sym, pos))
-    return PString(tuple(out), alphabet)
+    if not isinstance(raw, (str, list, tuple)):
+        raw = tuple(raw)
+    try:
+        return PString(tuple(map(alphabet._classes.__getitem__, raw)), alphabet)
+    except KeyError as exc:
+        sym = exc.args[0]
+        # map stops at the first unknown symbol, which is sym's first occurrence
+        raise UnknownSymbol(sym, raw.index(sym) + 1) from None
+
+
+def wildcard_parameters(tokens: Iterable[Symbol], constants: Iterable[Symbol]) -> list[Symbol]:
+    """The parameters of the token-mode wildcard ``parameters *``.
+
+    Every token that is not a constant, in order of first appearance.
+    """
+    declared = set(constants)
+    return [tok for tok in dict.fromkeys(tokens) if tok not in declared]
 
 
 def prev_encode(w: PString) -> tuple[PrevLabel, ...]:

@@ -94,31 +94,6 @@ class PPHIndex:
         key = self.alphabet.label_key
         return sorted(kids.items(), key=lambda kv: key(kv[0]))
 
-    def parent(self, v: int) -> Optional[int]:
-        self._check(v)
-        return None if v == ROOT else self.parents[v]
-
-    def incoming_label(self, v: int) -> Optional[PrevLabel]:
-        self._check(v)
-        return self.labels[v]
-
-    def depth(self, v: int) -> int:
-        self._check(v)
-        return self.depths[v]
-
-    def primary(self, v: int) -> Optional[int]:
-        self._check(v)
-        return self.primaries[v]
-
-    def secondary(self, v: int) -> Optional[int]:
-        self._check(v)
-        return self.secondaries.get(v)
-
-    def suffix(self, v: int) -> int:
-        """Suffix pointer of v; BOTTOM for the root."""
-        self._check(v)
-        return self.suffixes[v]
-
     def positions_at(self, v: int) -> list[int]:
         """Positions stored at v, primary first."""
         self._check(v)
@@ -304,11 +279,6 @@ class Builder:
         dup._done = False
         dup.suffix_steps = self.suffix_steps
         return dup.finalize()
-
-
-def new_builder(alphabet: Alphabet) -> Builder:
-    """Fresh builder over the given alphabet."""
-    return Builder(alphabet)
 
 
 def build_index(text: PString) -> PPHIndex:

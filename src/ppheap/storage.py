@@ -1,61 +1,52 @@
 """Line-oriented on-disk format for indexes and alphabet files.
 
-The format is UTF-8 text, deterministic, and diffable: a magic line, the
-mode, the alphabet, the text, one line per node in id order, then the reach
-pointers and preorder intervals. Writing the same index always produces
-byte-identical output, and a load/save round trip reproduces the input
-exactly. The stored augmentation is trusted on load; callers wanting an
-integrity check can recompute it and compare.
+An index file holds only what cannot be recomputed: the magic line, the
+mode, the alphabet, the text length, the text, and a SHA-256 checksum of
+every line before it. The heap and its augmentation are derived data: load
+rebuilds them from the text in linear time, which costs less than parsing a
+stored copy.
+Every load checks the header, the checksum, the alphabet and the text
+against its stated length, so a damaged file is rejected with
+IndexFormatError instead of answering queries wrongly. Writing the same
+index always produces byte-identical output, and a load/save round trip
+reproduces the input exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .augment import Augmentation
+from .augment import Augmentation, augment
 from .coding import (
     Alphabet,
-    PrevLabel,
     Symbol,
     make_alphabet,
     parse_alphabet_lines,
     parse_pstring,
-    prev_encode,
+    wildcard_parameters,
 )
 from .errors import IndexFormatError, PPHeapError
-from .heap import BOTTOM, ROOT, PPHIndex
+from .heap import PPHIndex, build_index
 
-MAGIC = "PPH/1"
+MAGIC = "PPH/2"
+LINES = 7  # magic, mode, constants, parameters, n, text, checksum
 
 
 @dataclass(slots=True)
 class IndexBundle:
-    """Everything one index file holds: the index, its augmentation, the mode."""
+    """Everything one index file describes: the index, its augmentation, the mode.
+
+    ``wildcard`` marks a token-mode index built with ``parameters *``: the
+    file stores the wildcard itself, and queries treat every non-constant
+    pattern token as a parameter.
+    """
 
     index: PPHIndex
     augmentation: Augmentation
     mode: str
-
-
-def render_label(label: PrevLabel) -> str:
-    """``C:<symbol>`` for constants, plain decimal for offsets."""
-    if isinstance(label, int):
-        return str(label)
-    return f"C:{label}"
-
-
-def parse_label(text: str) -> PrevLabel:
-    if text.startswith("C:"):
-        return text[2:]
-    try:
-        value = int(text)
-    except ValueError:
-        raise IndexFormatError(f"bad label field {text!r}") from None
-    if value < 0:
-        raise IndexFormatError(f"negative offset label {text!r}")
-    return value
+    wildcard: bool = False
 
 
 def _check_symbols(alphabet: Alphabet, mode: str) -> None:
@@ -75,190 +66,88 @@ def _symbols_line(keyword: str, symbols: tuple[Symbol, ...], mode: str) -> str:
     return f"{keyword} {joined}"
 
 
+def _checksum_line(body: str) -> str:
+    # surrogatepass: a str handed to loads may hold lone surrogates
+    return "sha256 " + hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
+
+
 def dumps(bundle: IndexBundle) -> str:
     """Serialize a bundle to the versioned line format."""
     idx = bundle.index
-    aug = bundle.augmentation
     mode = bundle.mode
     if mode not in ("char", "token"):
         raise IndexFormatError(f"mode must be 'char' or 'token', got {mode!r}")
     _check_symbols(idx.alphabet, mode)
-
-    raw = idx.text.raw()
-    text_line = "".join(raw) if mode == "char" else " ".join(raw)
-    lines = [
+    if bundle.wildcard:
+        if mode != "token":
+            raise IndexFormatError("the wildcard parameter set requires token mode")
+        parameters = "parameters *"
+    elif mode == "token" and idx.alphabet.parameters == ("*",):
+        raise IndexFormatError("a lone '*' parameter would read back as the wildcard")
+    else:
+        parameters = _symbols_line("parameters", idx.alphabet.parameters, mode)
+    sep = "" if mode == "char" else " "
+    body = "\n".join((
         MAGIC,
         f"mode {mode}",
         _symbols_line("constants", idx.alphabet.constants, mode),
-        _symbols_line("parameters", idx.alphabet.parameters, mode),
+        parameters,
         f"n {idx.n}",
-        text_line,
-        f"nodes {idx.node_count}",
-    ]
-    for v in range(idx.node_count):
-        if v == ROOT:
-            lines.append("0 - - - - -")
-            continue
-        secondary = idx.secondaries.get(v)
-        lines.append(" ".join((
-            str(v),
-            str(idx.parents[v]),
-            render_label(idx.labels[v]),
-            str(idx.primaries[v]),
-            "-" if secondary is None else str(secondary),
-            str(idx.suffixes[v]),
-        )))
-    lines.append("mrp" + "".join(f" {v}" for v in aug.mrp))
-    lines.append("preorder" + "".join(
-        f" {e}:{s}" for e, s in zip(aug.pre_enter, aug.subtree_size)))
-    return "\n".join(lines) + "\n"
+        sep.join(idx.text.raw()),
+    )) + "\n"
+    return body + _checksum_line(body) + "\n"
 
 
 def loads(data: str) -> IndexBundle:
-    """Parse the line format back into a bundle, validating as it goes."""
-    lines = data.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    def take(i: int, what: str) -> str:
-        if i >= len(lines):
-            raise IndexFormatError(f"truncated file: missing {what}")
-        return lines[i]
-
-    if take(0, "magic") != MAGIC:
+    """Check a file in the line format and rebuild the index it describes."""
+    magic = data.partition("\n")[0]
+    if magic != MAGIC:
         raise IndexFormatError(
-            f"unsupported index format {lines[0]!r} (expected {MAGIC!r})")
-    mode_line = take(1, "mode")
+            f"unsupported index format {magic[:16]!r}: this version reads "
+            f"{MAGIC} only; rebuild the index from its text with 'ppheap build'")
+    lines = data.split("\n")
+    if len(lines) != LINES + 1 or lines[-1] != "":
+        raise IndexFormatError(
+            f"expected {LINES} newline-terminated lines, got {len(lines) - 1}")
+    _, mode_line, constants_line, parameters_line, n_line, text_line, checksum = lines[:LINES]
+    if checksum != _checksum_line(data[:-len(checksum) - 1]):
+        raise IndexFormatError("checksum mismatch: the file is damaged")
+
     if mode_line not in ("mode char", "mode token"):
         raise IndexFormatError(f"bad mode line {mode_line!r}")
-    mode = mode_line.split(" ", 1)[1]
-
+    mode = mode_line[5:]
     try:
         constants, parameters = parse_alphabet_lines(
-            [take(2, "constants"), take(3, "parameters")], mode)
+            [constants_line, parameters_line], mode)
     except PPHeapError as exc:
         raise IndexFormatError(f"bad alphabet section: {exc}") from None
-    if parameters is None:
-        raise IndexFormatError("index files require a concrete parameter set")
-    try:
-        alphabet = make_alphabet(constants, parameters)
-    except PPHeapError as exc:
-        raise IndexFormatError(f"bad alphabet: {exc}") from None
 
-    n_line = take(4, "text length")
-    if not n_line.startswith("n "):
-        raise IndexFormatError(f"bad text length line {n_line!r}")
-    n = _parse_int(n_line[2:], "text length")
-
-    text_line = take(5, "text")
     raw = list(text_line) if mode == "char" else text_line.split()
-    if len(raw) != n:
-        raise IndexFormatError(f"text holds {len(raw)} symbols, header says {n}")
+    if n_line != f"n {len(raw)}":
+        raise IndexFormatError(
+            f"text length line {n_line[:24]!r} does not match the {len(raw)}-symbol text")
+
+    wildcard = parameters is None
+    if wildcard:
+        parameters = wildcard_parameters(raw, constants)
     try:
-        text = parse_pstring(raw, alphabet)
+        text = parse_pstring(raw, make_alphabet(constants, parameters))
     except PPHeapError as exc:
         raise IndexFormatError(f"text does not conform to alphabet: {exc}") from None
-
-    nodes_line = take(6, "node count")
-    if not nodes_line.startswith("nodes "):
-        raise IndexFormatError(f"bad node count line {nodes_line!r}")
-    count = _parse_int(nodes_line[6:], "node count")
-    if count < 1:
-        raise IndexFormatError("node count must include the root")
-
-    parents: list[int] = [-1]
-    labels: list[Optional[PrevLabel]] = [None]
-    depths: list[int] = [0]
-    children: list[Optional[dict]] = [None] * count
-    primaries: list[Optional[int]] = [None]
-    secondaries: dict[int, int] = {}
-    suffixes: list[int] = [BOTTOM]
-
-    for v in range(count):
-        fields = take(7 + v, f"node {v}").split(" ")
-        if len(fields) != 6:
-            raise IndexFormatError(f"node {v}: expected 6 fields, got {len(fields)}")
-        if _parse_int(fields[0], "node id") != v:
-            raise IndexFormatError(f"node line {fields[0]!r} out of order")
-        if v == ROOT:
-            if fields[1:] != ["-"] * 5:
-                raise IndexFormatError("root node line must be '0 - - - - -'")
-            continue
-        parent = _parse_int(fields[1], "parent id")
-        if not 0 <= parent < v:
-            raise IndexFormatError(f"node {v}: parent {parent} must precede it")
-        label = parse_label(fields[2])
-        primary = _parse_int(fields[3], "primary position")
-        secondary = None if fields[4] == "-" else _parse_int(fields[4], "secondary")
-        suffix = _parse_int(fields[5], "suffix pointer")
-        if not 0 <= suffix < count:
-            raise IndexFormatError(f"node {v}: suffix pointer {suffix} out of range")
-        parents.append(parent)
-        labels.append(label)
-        depths.append(depths[parent] + 1)
-        primaries.append(primary)
-        if secondary is not None:
-            secondaries[v] = secondary
-        suffixes.append(suffix)
-        kids = children[parent]
-        if kids is None:
-            kids = {}
-            children[parent] = kids
-        if label in kids:
-            raise IndexFormatError(f"node {v}: duplicate label at parent {parent}")
-        kids[label] = v
-
-    pos = 7 + count
-    mrp_line = take(pos, "reach pointers")
-    if mrp_line != "mrp" and not mrp_line.startswith("mrp "):
-        raise IndexFormatError(f"bad reach pointer line {mrp_line!r}")
-    mrp_fields = mrp_line.split(" ")[1:]
-    if len(mrp_fields) != n:
-        raise IndexFormatError(f"expected {n} reach pointers, got {len(mrp_fields)}")
-    mrp = []
-    for f in mrp_fields:
-        node = _parse_int(f, "reach pointer")
-        if not 0 <= node < count:
-            raise IndexFormatError(f"reach pointer {node} out of range")
-        mrp.append(node)
-
-    pre_line = take(pos + 1, "preorder intervals")
-    if pre_line != "preorder" and not pre_line.startswith("preorder "):
-        raise IndexFormatError(f"bad preorder line {pre_line!r}")
-    pre_fields = pre_line.split(" ")[1:]
-    if len(pre_fields) != count:
-        raise IndexFormatError(
-            f"expected {count} preorder entries, got {len(pre_fields)}")
-    enter: list[int] = []
-    size: list[int] = []
-    for f in pre_fields:
-        left, sep, right = f.partition(":")
-        if not sep:
-            raise IndexFormatError(f"bad preorder entry {f!r}")
-        enter.append(_parse_int(left, "preorder number"))
-        size.append(_parse_int(right, "subtree size"))
-
-    if pos + 2 != len(lines):
-        raise IndexFormatError("trailing content after preorder line")
-
-    idx = PPHIndex(alphabet, text, prev_encode(text), parents, labels, depths,
-                   children, primaries, secondaries, suffixes)
-    return IndexBundle(idx, Augmentation(mrp, enter, size), mode)
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise IndexFormatError(f"bad {what} field {text!r}") from None
+    idx = build_index(text)
+    return IndexBundle(idx, augment(idx), mode, wildcard)
 
 
 def save(bundle: IndexBundle, path) -> None:
-    Path(path).write_text(dumps(bundle), encoding="utf-8")
+    Path(path).write_bytes(dumps(bundle).encode("utf-8"))
 
 
 def load(path) -> IndexBundle:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index file is not UTF-8: {exc}") from None
+    return loads(data)
 
 
 def read_alphabet_file(path, mode: str) -> tuple[list[Symbol], list[Symbol] | None]:

@@ -6,6 +6,10 @@ import pytest
 
 from ppheap.cli import main
 
+# an index written by the previous file format, which this version refuses
+PPH1_INDEX = ("PPH/1\nmode char\nconstants a\nparameters xy\nn 3\nxax\nnodes 3\n"
+              "0 - - - - -\n1 0 0 1 3 0\n2 0 C:a 2 - 0\nmrp 1 2 1\npreorder 0:3 2:1 1:1\n")
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -99,13 +103,6 @@ class TestQuery:
         assert code == 0
         assert out == "2\n6\n"
 
-    def test_recompute_agrees(self, workspace, capsys):
-        index = self.build(workspace, capsys)
-        code, _, _ = run(
-            ["query", "--index", str(index), "--pattern", "xayby", "--recompute"],
-            capsys)
-        assert code == 0
-
     def test_unknown_pattern_symbol_exits_1(self, workspace, capsys):
         index = self.build(workspace, capsys)
         code, _, err = run(
@@ -127,12 +124,42 @@ class TestQuery:
 
     def test_corrupt_index_exits_2(self, workspace, capsys):
         index = self.build(workspace, capsys)
-        data = index.read_text().replace("PPH/1", "PPH/9")
-        index.write_text(data)
+        magic, rest = index.read_text().split("\n", 1)
+        assert magic != "PPH/9"
+        index.write_text("PPH/9\n" + rest)
         code, _, err = run(
             ["query", "--index", str(index), "--pattern", "xayby"], capsys)
         assert code == 2
         assert "index" in err
+
+    def test_pph1_index_exits_2_with_version_message(self, tmp_path, capsys):
+        index = tmp_path / "old.pph"
+        index.write_text(PPH1_INDEX)
+        code, out, err = run(
+            ["query", "--index", str(index), "--pattern", "xa"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "PPH/1" in err and "PPH/2" in err and "rebuild" in err
+
+    def test_garbled_text_exits_2(self, workspace, capsys):
+        index = self.build(workspace, capsys)
+        index.write_text(index.read_text().replace("uvaubuavbv", "uvaubuavbu"))
+        code, out, err = run(
+            ["query", "--index", str(index), "--pattern", "xayby"], capsys)
+        assert code == 2
+        assert out == "" and "checksum" in err
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]])
+    def test_wildcard_pattern_parameters(self, tmp_path, capsys, verify):
+        (tmp_path / "alpha.txt").write_text("constants for in : =\nparameters *\n")
+        (tmp_path / "code.txt").write_text("for i in total : x = i\n")
+        run(["build", "--text", str(tmp_path / "code.txt"),
+             "--alphabet", str(tmp_path / "alpha.txt"),
+             "--mode", "token", "--out", str(tmp_path / "c.pph")], capsys)
+        code, out, _ = run(["query", "--index", str(tmp_path / "c.pph"),
+                            "--pattern", "for j in count"] + verify, capsys)
+        assert code == 0
+        assert out == "1\n"
 
     def test_fourteen_char_fixture(self, tmp_path, capsys):
         (tmp_path / "alpha.txt").write_text("constants a\nparameters xy\n")

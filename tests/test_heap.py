@@ -15,7 +15,6 @@ from ppheap import (
     audit_index,
     build_index,
     make_alphabet,
-    new_builder,
     norm,
     parse_pstring,
     prev_encode,
@@ -27,7 +26,7 @@ from conftest import build_audited, random_text
 
 class TestBuilderBasics:
     def test_fresh_builder(self, a_xy):
-        b = new_builder(a_xy)
+        b = Builder(a_xy)
         assert b.size == 0
         assert b.active_position == 1
         assert b.active_node == ROOT
@@ -36,7 +35,7 @@ class TestBuilderBasics:
         idx = Builder(a_xy).finalize()
         assert idx.node_count == 1
         assert idx.stats() == (0, 1, 0, 0)
-        assert idx.suffix(ROOT) == BOTTOM
+        assert idx.suffixes[ROOT] == BOTTOM
         audit_index(idx)
 
     def test_single_parameter(self, a_xy):
@@ -44,8 +43,8 @@ class TestBuilderBasics:
         assert idx.stats() == (1, 2, 0, 1)
         v = idx.child(ROOT, 0)
         assert v is not None
-        assert idx.primary(v) == 1
-        assert idx.secondary(v) is None
+        assert idx.primaries[v] == 1
+        assert v not in idx.secondaries
 
     def test_two_equal_parameters(self, a_xy):
         # oracle-derived frozen shape: one child of the root holding both
@@ -53,8 +52,8 @@ class TestBuilderBasics:
         idx = build_audited("xx", a_xy)
         assert idx.node_count == 2
         v = idx.child(ROOT, 0)
-        assert idx.primary(v) == 1
-        assert idx.secondary(v) == 2
+        assert idx.primaries[v] == 1
+        assert idx.secondaries[v] == 2
         assert trees_equal(idx, naive_pph(idx.text))
 
     def test_new_constant_becomes_root_child(self, a_xy):

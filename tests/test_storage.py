@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppheap import (
     IndexFormatError,
@@ -12,7 +17,8 @@ from ppheap import (
     match_pattern,
     parse_pstring,
 )
-from ppheap.storage import IndexBundle, dumps, load, loads, save
+from ppheap.cli import main
+from ppheap.storage import MAGIC, IndexBundle, dumps, load, loads, save
 
 from conftest import build_audited, random_text
 
@@ -57,6 +63,18 @@ class TestRoundTrip:
         assert again.index.text.raw() == ("i", "for", "j", "i")
         assert dumps(again) == blob
 
+    def test_wildcard_round_trip(self):
+        from ppheap import make_alphabet
+        raw = ["for", "i", "in", "total", ":", "x", "=", "i"]
+        alpha = make_alphabet(["for", "in", ":", "="], ["i", "total", "x"])
+        idx = build_audited(raw, alpha)
+        blob = dumps(IndexBundle(idx, augment(idx), "token", wildcard=True))
+        assert "\nparameters *\n" in blob
+        again = loads(blob)
+        assert again.wildcard
+        assert again.index.alphabet == alpha
+        assert dumps(again) == blob
+
     def test_file_round_trip(self, tmp_path, ab_uvxy):
         bundle = make_bundle("uvaubuavbv", ab_uvxy)
         path = tmp_path / "t.pph"
@@ -66,12 +84,19 @@ class TestRoundTrip:
         assert (tmp_path / "t.pph").read_bytes() == (tmp_path / "t2.pph").read_bytes()
 
 
+def reseal(blob: str) -> str:
+    """Replace the checksum line so that the checks behind it are reached."""
+    body = blob[:blob.rindex("sha256 ")]
+    return body + "sha256 " + hashlib.sha256(body.encode("utf-8")).hexdigest() + "\n"
+
+
 class TestValidation:
     def test_version_mismatch_is_hard_error(self, ab_uvxy):
         blob = dumps(make_bundle("uv", ab_uvxy))
-        bad = blob.replace("PPH/1", "PPH/2", 1)
-        with pytest.raises(IndexFormatError):
-            loads(bad)
+        magic, rest = blob.split("\n", 1)
+        assert magic == MAGIC
+        with pytest.raises(IndexFormatError, match="rebuild"):
+            loads("PPH/9\n" + rest)
 
     def test_truncated(self, ab_uvxy):
         blob = dumps(make_bundle("uvau", ab_uvxy))
@@ -79,17 +104,37 @@ class TestValidation:
         with pytest.raises(IndexFormatError):
             loads("\n".join(lines[:5]) + "\n")
 
-    def test_garbled_node_line(self, ab_uvxy):
+    def test_garbled_checksum(self, ab_uvxy):
         blob = dumps(make_bundle("uvau", ab_uvxy))
-        lines = blob.splitlines()
-        lines[8] = "not a node line"
-        with pytest.raises(IndexFormatError):
-            loads("\n".join(lines) + "\n")
+        digit = blob[-2]
+        bad = blob[:-2] + ("0" if digit != "0" else "1") + "\n"
+        with pytest.raises(IndexFormatError, match="checksum"):
+            loads(bad)
+
+    def test_garbled_text(self, ab_uvxy):
+        blob = dumps(make_bundle("uvau", ab_uvxy))
+        for garbled in ("uvav", "uva\ud800"):
+            bad = blob.replace("\nuvau\n", f"\n{garbled}\n", 1)
+            assert bad != blob
+            with pytest.raises(IndexFormatError, match="checksum"):
+                loads(bad)
 
     def test_text_header_disagreement(self, ab_uvxy):
         blob = dumps(make_bundle("uvau", ab_uvxy))
-        bad = blob.replace("n 4", "n 5", 1)
-        with pytest.raises(IndexFormatError):
+        bad = reseal(blob.replace("\nn 4\n", "\nn 5\n", 1))
+        with pytest.raises(IndexFormatError, match="length"):
+            loads(bad)
+
+    def test_bad_alphabet(self, ab_uvxy):
+        blob = dumps(make_bundle("uvau", ab_uvxy))
+        bad = reseal(blob.replace("constants ab", "constants au", 1))
+        with pytest.raises(IndexFormatError, match="alphabet"):
+            loads(bad)
+
+    def test_unknown_text_symbol(self, ab_uvxy):
+        blob = dumps(make_bundle("uvau", ab_uvxy))
+        bad = reseal(blob.replace("\nuvau\n", "\nuvaz\n", 1))
+        with pytest.raises(IndexFormatError, match="'z'"):
             loads(bad)
 
     def test_trailing_garbage(self, ab_uvxy):
@@ -97,15 +142,89 @@ class TestValidation:
         with pytest.raises(IndexFormatError):
             loads(blob + "extra\n")
 
-    def test_wildcard_parameters_not_storable(self, ab_uvxy):
-        blob = dumps(make_bundle("uv", ab_uvxy, mode="token"))
-        bad = blob.replace("parameters u v x y", "parameters *", 1)
-        with pytest.raises(IndexFormatError):
-            loads(bad)
-
     def test_symbols_with_whitespace_rejected(self):
         from ppheap import make_alphabet
         alpha = make_alphabet(["a b"], ["x"])
         idx = build_audited([], alpha)
         with pytest.raises(IndexFormatError):
             dumps(IndexBundle(idx, augment(idx), "token"))
+
+    def test_unstorable_wildcard_rejected(self):
+        from ppheap import make_alphabet
+        idx = build_audited(["*"], make_alphabet([], ["*"]))
+        # a concrete lone '*' would read back as the wildcard
+        with pytest.raises(IndexFormatError):
+            dumps(IndexBundle(idx, augment(idx), "token"))
+        # char mode has no wildcard: '*' is an ordinary symbol there
+        with pytest.raises(IndexFormatError):
+            dumps(IndexBundle(idx, augment(idx), "char", wildcard=True))
+
+
+# (mode, alphabet file, text file, patterns) for the hostile-file tests
+HOSTILE_FIXTURES = {
+    "char": ("constants ab\nparameters uvxy\n", "uvaubuavbv\n",
+             ["xayby", "uv", "a", "bv", "yby"]),
+    "token": ("constants for in : =\nparameters *\n", "for i in total : x = i\n",
+              ["for j in count", "x = y", "i", ": k = m", "in total"]),
+}
+
+
+def run_query(index, pattern):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["query", "--index", str(index), f"--pattern={pattern}"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def hostile(tmp_path_factory):
+    """Per mode: the index file's bytes, a scratch path, and the original answers."""
+    out = {}
+    for mode, (alphabet, text, patterns) in HOSTILE_FIXTURES.items():
+        work = tmp_path_factory.mktemp(mode)
+        (work / "alphabet.txt").write_text(alphabet)
+        (work / "text.txt").write_text(text)
+        index = work / "index.pph"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["build", "--text", str(work / "text.txt"),
+                         "--alphabet", str(work / "alphabet.txt"),
+                         "--mode", mode, "--out", str(index)]) == 0
+        answers = {}
+        for pattern in patterns:
+            code, stdout, _ = run_query(index, pattern)
+            assert code == 0 and stdout, (mode, pattern)
+            answers[pattern] = stdout
+        out[mode] = (index.read_bytes(), work / "hostile.pph", answers)
+    return out
+
+
+def assert_safe(path, data: bytes, answers) -> None:
+    """Rejected with IndexFormatError, or every pattern answers as before or
+    is refused as an unknown symbol; anything else fails the test."""
+    path.write_bytes(data)
+    try:
+        load(path)
+    except IndexFormatError:
+        return
+    for pattern, want in answers.items():
+        code, stdout, err = run_query(path, pattern)
+        if code == 1:
+            assert "unknown symbol" in err, (data, pattern, err)
+        else:
+            assert (code, stdout) == (0, want), (data, pattern)
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("mode", sorted(HOSTILE_FIXTURES))
+    def test_every_truncation(self, hostile, mode):
+        blob, path, answers = hostile[mode]
+        for cut in range(len(blob)):
+            assert_safe(path, blob[:cut], answers)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(mode=st.sampled_from(sorted(HOSTILE_FIXTURES)),
+           where=st.integers(min_value=0), byte=st.integers(0, 255))
+    def test_single_byte_mutations(self, hostile, mode, where, byte):
+        blob, path, answers = hostile[mode]
+        where %= len(blob)
+        assert_safe(path, blob[:where] + bytes([byte]) + blob[where + 1:], answers)
