@@ -31,6 +31,7 @@ from .errors import (
     DuplicateSymbol,
     EmptyPattern,
     IndexFormatError,
+    InputEncodingError,
     InvalidNode,
     OverlappingAlphabet,
     PPHeapError,
@@ -65,6 +66,7 @@ __all__ = [
     "IndexBundle",
     "IndexFormatError",
     "IndexStats",
+    "InputEncodingError",
     "InvalidNode",
     "NaiveTree",
     "OverlappingAlphabet",

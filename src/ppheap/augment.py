@@ -1,14 +1,20 @@
-"""Maximal-reach pointers and constant-time subtree membership.
+"""Maximal-reach pointers and output-sensitive subtree enumeration.
 
 For each text position i the maximal-reach pointer names the deepest node
 whose path label is a prefix of the encoded suffix starting at i. All n
 pointers are computed in one left-to-right sweep that reuses the previous
 position's endpoint through its suffix pointer, so the scan head over the
-text never moves backwards. A preorder numbering with subtree sizes then
-makes "is u inside v's subtree" an O(1) interval test.
+text never moves backwards. Preorder entry numbers and subtree sizes, taken
+from the index's preorder node list, then make "is u inside v's subtree" an
+O(1) interval test, and because node v holds primary position v, the
+primaries of a subtree are one slice of that list. The secondaries, kept
+sorted by their node's preorder number, add one bisect range.
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_left
 
 from .coding import SENTINEL
 from .errors import InvalidNode
@@ -19,16 +25,26 @@ class Augmentation:
     """Per-position reach pointers plus preorder intervals for one index.
 
     ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` and
-    ``subtree_size`` are indexed by node id. Immutable once built; share it
-    freely together with its index.
+    ``subtree_size`` are indexed by node id. All three are ``array('i')``. ``secondary_ranks`` and
+    ``secondary_positions`` list the secondary positions in the preorder of
+    their nodes, beside those nodes' preorder numbers, so a subtree's
+    secondaries are one bisect range. Immutable once built; share it freely
+    together with its index.
     """
 
-    __slots__ = ("mrp", "pre_enter", "subtree_size")
+    __slots__ = ("mrp", "pre_enter", "subtree_size",
+                 "secondary_ranks", "secondary_positions")
 
-    def __init__(self, mrp: list[int], pre_enter: list[int], subtree_size: list[int]):
+    def __init__(self, mrp: array, pre_enter: array, subtree_size: array):
         self.mrp = mrp
         self.pre_enter = pre_enter
         self.subtree_size = subtree_size
+        # the secondary positions are exactly node_count..n, and each one's
+        # reach node is the node that stores it
+        secs = sorted(range(len(pre_enter), len(mrp) + 1),
+                      key=lambda s: pre_enter[mrp[s - 1]])
+        self.secondary_ranks = array("i", [pre_enter[mrp[s - 1]] for s in secs])
+        self.secondary_positions = array("i", secs)
 
     def reach(self, i: int) -> int:
         """Reach node of 1-based text position i."""
@@ -47,8 +63,8 @@ class Augmentation:
         return ev <= enter[u] < ev + self.subtree_size[v]
 
 
-def compute_mrp(idx: PPHIndex) -> list[int]:
-    """Reach node for every position 1..n, as a 0-indexed list.
+def compute_mrp(idx: PPHIndex) -> array:
+    """Reach node for every position 1..n, as a 0-indexed ``array('i')``.
 
     Walks positions in order; each step restarts from the previous reach
     node's suffix pointer and extends while a child matches the next
@@ -59,7 +75,7 @@ def compute_mrp(idx: PPHIndex) -> list[int]:
     prev_text = idx.prev_text
     children = idx.children
     suffixes = idx.suffixes
-    mrp = [ROOT] * n
+    mrp = array("i", [ROOT]) * n
     cur = ROOT
     scan = 1  # 1-based text position about to be consumed
     for i in range(1, n + 1):
@@ -80,30 +96,20 @@ def compute_mrp(idx: PPHIndex) -> list[int]:
     return mrp
 
 
-def preorder_intervals(idx: PPHIndex) -> tuple[list[int], list[int]]:
-    """Preorder entry numbers and subtree sizes.
+def preorder_intervals(idx: PPHIndex) -> tuple[array, array]:
+    """Preorder entry numbers and subtree sizes, as ``array('i')`` by node id.
 
-    Children are pushed in dict order, not label order: the interval test
-    holds for any preorder, and the numbering is never stored.
+    Read off ``idx.preorder``. A parent's id is below its children's ids,
+    so one backward sweep over the ids accumulates the sizes.
     """
     count = idx.node_count
-    enter = [0] * count
-    size = [1] * count
-    children = idx.children
-    order: list[int] = []
-    stack = [ROOT]
-    while stack:
-        v = stack.pop()
-        enter[v] = len(order)
-        order.append(v)
-        kids = children[v]
-        if kids:
-            stack.extend(kids.values())
+    enter = array("i", [0]) * count
+    for k, v in enumerate(idx.preorder):
+        enter[v] = k
+    size = array("i", [1]) * count
     parents = idx.parents
-    for v in reversed(order):
-        p = parents[v]
-        if p >= 0:
-            size[p] += size[v]
+    for v in range(count - 1, 0, -1):
+        size[parents[v]] += size[v]
     return enter, size
 
 
@@ -114,27 +120,24 @@ def augment(idx: PPHIndex) -> Augmentation:
     return Augmentation(mrp, enter, size)
 
 
-def subtree_positions(idx: PPHIndex, u: int) -> list[int]:
-    """All primary and secondary positions stored in u's subtree, ascending.
+def subtree_run(idx: PPHIndex, aug: Augmentation, u: int) -> list[int]:
+    """All positions stored in u's subtree, in no particular order.
 
-    Cost is proportional to the subtree size plus the output.
+    One slice of the preorder node list (node v holds primary position v)
+    plus one bisect range of the secondaries, so the cost is the output
+    size plus O(log d) for d double nodes.
     """
+    lo = aug.pre_enter[u]
+    hi = lo + aug.subtree_size[u]
+    out = idx.preorder[lo or 1:hi]  # preorder number 0 is the root: no position
+    ranks = aug.secondary_ranks
+    out += aug.secondary_positions[bisect_left(ranks, lo):bisect_left(ranks, hi)]
+    return out
+
+
+def subtree_positions(idx: PPHIndex, aug: Augmentation, u: int) -> list[int]:
+    """All primary and secondary positions stored in u's subtree, ascending."""
     idx._check(u)
-    children = idx.children
-    primaries = idx.primaries
-    secondaries = idx.secondaries
-    out: list[int] = []
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        p = primaries[v]
-        if p is not None:
-            out.append(p)
-        s = secondaries.get(v)
-        if s is not None:
-            out.append(s)
-        kids = children[v]
-        if kids:
-            stack.extend(kids.values())
+    out = subtree_run(idx, aug, u)
     out.sort()
     return out

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateSymbol,
     EmptyPattern,
     IndexFormatError,
+    InputEncodingError,
     OverlappingAlphabet,
     UnknownSymbol,
 )
@@ -27,7 +28,7 @@ from .heap import build_index
 from .matching import match_pattern
 from .oracle import naive_match
 from .selftest import run_selftest
-from .storage import IndexBundle, load, read_alphabet_file, save
+from .storage import IndexBundle, load, read_alphabet_file, read_utf8, save
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -37,7 +38,7 @@ EXIT_MISMATCH = 4
 
 
 def _read_text_file(path: str, mode: str) -> list[Symbol]:
-    content = Path(path).read_text(encoding="utf-8")
+    content = read_utf8(path)
     if mode == "token":
         return content.split()
     # char mode: one line of symbols; a trailing newline is not text
@@ -175,7 +176,7 @@ def main(argv=None) -> int:
     except IndexFormatError as exc:
         print(f"error: bad index file: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (InputEncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,11 +21,10 @@ def _escape(text: str) -> str:
 def _node_label(idx: PPHIndex, v: int) -> str:
     if v == ROOT:
         return "root"
-    primary = idx.primaries[v]
     secondary = idx.secondaries.get(v)
     if secondary is None:
-        return str(primary)
-    return f"{primary}/{secondary}"
+        return str(v)
+    return f"{v}/{secondary}"
 
 
 def to_dot(idx: PPHIndex, aug: Optional[Augmentation] = None) -> str:

@@ -49,3 +49,7 @@ class AlphabetFormatError(PPHeapError):
 
 class IndexFormatError(PPHeapError):
     """An index file is malformed or has an unsupported version."""
+
+
+class InputEncodingError(PPHeapError):
+    """A text or alphabet file is not valid UTF-8."""

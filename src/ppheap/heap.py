@@ -3,7 +3,9 @@
 The index is a trie over prev-encoding labels. Each non-root node stores
 one or two suffix start positions: the primary position marks the suffix
 whose insertion created the node, and a secondary position marks a suffix
-whose entire encoding equals the node's path label. Construction is online:
+whose entire encoding equals the node's path label. Nodes are created one
+per primary position, in position order, so node v's primary position is v
+itself and no per-node position list is kept. Construction is online:
 reading one more text symbol extends the structure by walking suffix
 pointers from the active node, where the suffix pointer of the node for
 some window links to the node for that window with its first symbol
@@ -16,6 +18,7 @@ lets the update loop terminate without special cases.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple, Optional
 
 from .coding import (
@@ -42,30 +45,34 @@ class IndexStats(NamedTuple):
 class PPHIndex:
     """Finalized, immutable position-heap index over a p-string text.
 
-    The arena is held as parallel per-node lists indexed by node id:
+    The arena is held as parallel per-node sequences indexed by node id:
     ``parents`` (-1 for the root), ``labels`` (incoming edge label, None for
     the root), ``depths``, ``children`` (dict label -> child id, or None for
-    a leaf), ``primaries`` (None for the root), ``suffixes`` (BOTTOM for the
-    root). ``secondaries`` maps the node ids of double nodes to their
-    secondary position. Treat a finalized index as read-only; concurrent
-    queries over it are safe.
+    a leaf), ``suffixes`` (BOTTOM for the root); ``parents``, ``depths`` and
+    ``suffixes`` are ``array('i')``. Every non-root node v holds
+    primary position v. ``secondaries`` maps the node ids of double nodes to
+    their secondary position. ``preorder`` lists the node ids in one
+    preorder, root first, so every subtree is one contiguous run of it and,
+    because node v holds position v, that run is also the subtree's primary
+    positions. Treat a finalized index as read-only; concurrent queries over
+    it are safe.
     """
 
     __slots__ = ("alphabet", "text", "prev_text", "parents", "labels",
-                 "depths", "children", "primaries", "secondaries", "suffixes")
+                 "depths", "children", "secondaries", "suffixes", "preorder")
 
     def __init__(self, alphabet, text, prev_text, parents, labels, depths,
-                 children, primaries, secondaries, suffixes):
+                 children, secondaries, suffixes, preorder):
         self.alphabet: Alphabet = alphabet
         self.text: PString = text
         self.prev_text: tuple[PrevLabel, ...] = prev_text
-        self.parents: list[int] = parents
+        self.parents: array = parents
         self.labels: list[Optional[PrevLabel]] = labels
-        self.depths: list[int] = depths
+        self.depths: array = depths
         self.children: list[Optional[dict]] = children
-        self.primaries: list[Optional[int]] = primaries
         self.secondaries: dict[int, int] = secondaries
-        self.suffixes: list[int] = suffixes
+        self.suffixes: array = suffixes
+        self.preorder: list[int] = preorder
 
     @property
     def n(self) -> int:
@@ -97,8 +104,7 @@ class PPHIndex:
     def positions_at(self, v: int) -> list[int]:
         """Positions stored at v, primary first."""
         self._check(v)
-        p = self.primaries[v]
-        out = [] if p is None else [p]
+        out = [] if v == ROOT else [v]
         s = self.secondaries.get(v)
         if s is not None:
             out.append(s)
@@ -144,7 +150,7 @@ class Builder:
     """
 
     __slots__ = ("alphabet", "_encoder", "_symbols", "_prev", "_parents",
-                 "_labels", "_depths", "_children", "_primaries", "_suffixes",
+                 "_labels", "_depths", "_children", "_suffixes",
                  "_active_node", "_active_pos", "_k", "_done", "suffix_steps")
 
     def __init__(self, alphabet: Alphabet):
@@ -157,7 +163,6 @@ class Builder:
         self._labels: list[Optional[PrevLabel]] = [None]
         self._depths: list[int] = [0]
         self._children: list[Optional[dict]] = [None]
-        self._primaries: list[Optional[int]] = [None]
         self._suffixes: list[int] = [BOTTOM]
         self._active_node = ROOT
         self._active_pos = 1
@@ -193,7 +198,6 @@ class Builder:
         labels = self._labels
         depths = self._depths
         children = self._children
-        primaries = self._primaries
         suffixes = self._suffixes
 
         cur = self._active_node
@@ -209,12 +213,11 @@ class Builder:
             nxt = None if kids is None else kids.get(c)
             if nxt is not None:
                 break
-            new = len(parents)
+            new = len(parents)  # == spos: node v holds primary position v
             parents.append(cur)
             labels.append(c)
             depths.append(depths[cur] + 1)
             children.append(None)
-            primaries.append(spos)
             suffixes.append(ROOT)  # placeholder, always patched below
             if kids is None:
                 children[cur] = {c: new}
@@ -242,7 +245,9 @@ class Builder:
     def finalize(self) -> PPHIndex:
         """Assign the pending secondary positions and freeze the arena.
 
-        Consumes the builder; further pushes raise.
+        Also lists the nodes in preorder (children in dict order; any
+        preorder serves the subtree-run lookups) and packs the integer
+        arrays. Consumes the builder; further pushes raise.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
@@ -255,10 +260,20 @@ class Builder:
             secondaries[cur] = spos
             cur = suffixes[cur]
             spos += 1
+        children = self._children
+        preorder: list[int] = []
+        stack = [ROOT]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            kids = children[v]
+            if kids:
+                stack.extend(kids.values())
         text = PString(tuple(self._symbols), self.alphabet)
-        return PPHIndex(self.alphabet, text, tuple(self._prev), self._parents,
-                        self._labels, self._depths, self._children,
-                        self._primaries, secondaries, self._suffixes)
+        return PPHIndex(self.alphabet, text, tuple(self._prev),
+                        array("i", self._parents), self._labels,
+                        array("i", self._depths), children, secondaries,
+                        array("i", suffixes), preorder)
 
     def snapshot(self) -> PPHIndex:
         """Finalize a deep copy, leaving this builder usable mid-stream."""
@@ -271,7 +286,6 @@ class Builder:
         dup._labels = list(self._labels)
         dup._depths = list(self._depths)
         dup._children = [dict(d) if d is not None else None for d in self._children]
-        dup._primaries = list(self._primaries)
         dup._suffixes = list(self._suffixes)
         dup._active_node = self._active_node
         dup._active_pos = self._active_pos
@@ -294,7 +308,8 @@ def audit_index(idx: PPHIndex) -> None:
 
     Covers arena coherence (parent/child/label/depth agreement), the node
     count bound, the exactly-once position partition, the secondary suffix
-    interval, primary < secondary at double nodes, the suffix-pointer
+    interval, primary < secondary at double nodes, the preorder (a
+    permutation from the root with every subtree one run), the suffix-pointer
     re-normalization law, and agreement of every stored position's path
     label with the re-normalized global encoding. Cost grows with total
     path length; intended for tests and self-checks, not query paths.
@@ -325,15 +340,12 @@ def audit_index(idx: PPHIndex) -> None:
     if edge_total != count - 1:
         problems.append(f"children maps hold {edge_total} edges for {count} nodes")
 
-    # position partition: every position 1..n stored exactly once
+    # position partition: every position 1..n stored exactly once, where
+    # node v holds primary position v
     seen: dict[int, int] = {}
-    if idx.primaries[ROOT] is not None or ROOT in idx.secondaries:
+    if ROOT in idx.secondaries:
         problems.append("root must hold no positions")
     for v in range(1, count):
-        prim = idx.primaries[v]
-        if prim is None:
-            problems.append(f"node {v}: missing primary position")
-            continue
         for pos in idx.positions_at(v):
             if pos in seen:
                 problems.append(f"position {pos} stored at nodes {seen[pos]} and {v}")
@@ -346,11 +358,40 @@ def audit_index(idx: PPHIndex) -> None:
     if secs and secs != list(range(secs[0], n + 1)):
         problems.append(f"secondary positions {secs} are not a suffix interval")
     for v, spos in idx.secondaries.items():
-        prim = idx.primaries[v]
-        if prim is not None and prim >= spos:
-            problems.append(f"node {v}: primary {prim} not below secondary {spos}")
+        if v >= spos:
+            problems.append(f"node {v}: primary {v} not below secondary {spos}")
     if count != n + 1 - len(idx.secondaries):
         problems.append("node count does not equal n + 1 - double nodes")
+
+    # preorder: a permutation of the nodes, root first, in which every
+    # subtree is the contiguous run that starts at its root. Parents precede
+    # children in id order, so sizes come from one backward sweep; then each
+    # child's run nested inside its parent's run, with distinct ranks,
+    # forces every subtree to fill its run exactly.
+    order = idx.preorder
+    rank = [-1] * count
+    for k, v in enumerate(order):
+        if not (type(v) is int and 0 <= v < count) or rank[v] >= 0:
+            problems.append(f"preorder entry {k} ({v!r}) is not a fresh node id")
+            break
+        rank[v] = k
+    else:
+        late = [v for v in range(1, count) if not 0 <= idx.parents[v] < v]
+        if len(order) != count:
+            problems.append(f"preorder lists {len(order)} of {count} nodes")
+        elif order[0] != ROOT:
+            problems.append("preorder does not start at the root")
+        elif late:
+            problems.append(f"nodes {late[:8]} do not come after their parent")
+        else:
+            size = [1] * count
+            for v in range(count - 1, 0, -1):
+                size[idx.parents[v]] += size[v]
+            for v in range(1, count):
+                p = idx.parents[v]
+                if not rank[p] < rank[v] <= rank[p] + size[p] - size[v]:
+                    problems.append(
+                        f"node {v}: preorder run not inside its parent's run")
 
     # suffix-pointer law: dropping the first symbol re-normalizes the rest
     for v in range(1, count):

@@ -1,22 +1,25 @@
 """Pattern matching over an augmented index.
 
-When the pattern's whole encoding is present as a node, the occurrences are
-exactly the positions whose reach pointer falls inside that node's subtree.
-Otherwise the pattern is cut into segments, each the longest represented
-prefix of the re-encoded remainder, and candidate positions survive only if
-their reach pointer at each segment start hits the segment's end node (the
-last segment may land anywhere in its subtree). Segment re-encoding loses
-back-references that cross a segment boundary: every label that collapsed
-to 0 inside a segment is re-checked against the text's encoding directly.
-There are at most as many such checks per segment as there are parameter
-symbols.
+When the pattern's whole encoding is present as a node u, the occurrences
+are exactly the positions whose reach pointer falls inside u's subtree:
+every position stored in the subtree (one slice of the preorder node list
+plus one bisect range of secondaries), and the primaries on the path above
+u whose reach lands inside it. After the m child lookups and m ancestor
+checks, that costs one sort of the output. Otherwise the pattern is cut
+into segments, each the longest represented prefix of the re-encoded
+remainder, and candidate positions survive only if their reach pointer at
+each segment start hits the segment's end node (the last segment may land
+anywhere in its subtree). Segment re-encoding loses back-references that
+cross a segment boundary: every label that collapsed to 0 inside a segment
+is re-checked against the text's encoding directly. There are at most as
+many such checks per segment as there are parameter symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .augment import Augmentation, subtree_positions
+from .augment import Augmentation, subtree_run
 from .coding import PrevLabel, PString, prev_encode
 from .errors import EmptyPattern
 from .heap import ROOT, PPHIndex
@@ -80,33 +83,36 @@ def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[in
         return []
     prev_p = prev_encode(pattern)
     mrp = aug.mrp
+    enter = aug.pre_enter
     parents = idx.parents
-    primaries = idx.primaries
 
     walk = segment_walk(idx, prev_p, 1)
     u = walk.end_node
     if walk.consumed_through == m:
-        # whole encoding present: subtree positions plus the path positions
-        # whose reach falls inside u's subtree
-        hits = set(subtree_positions(idx, u))
-        v = u
+        # whole encoding present: the subtree's positions, plus the path
+        # primaries whose reach falls inside u's subtree; a secondary above
+        # u spans its whole suffix, which is shorter than the pattern
+        lo = enter[u]
+        hi = lo + aug.subtree_size[u]
+        hits = subtree_run(idx, aug, u)
+        v = parents[u]
         while v != ROOT:
-            p = primaries[v]
-            if aug.is_descendant(mrp[p - 1], u):
-                hits.add(p)
+            if lo <= enter[mrp[v - 1]] < hi:
+                hits.append(v)
             v = parents[v]
-        return sorted(hits)
+        hits.sort()
+        return hits
 
     if u == ROOT:
         return []
 
     # candidates: primaries along the walked path whose reach is exactly u
+    # (node v holds primary position v)
     candidates: list[int] = []
     v = u
     while v != ROOT:
-        p = primaries[v]
-        if mrp[p - 1] == u:
-            candidates.append(p)
+        if mrp[v - 1] == u:
+            candidates.append(v)
         v = parents[v]
 
     prev_t = idx.prev_text
@@ -119,6 +125,8 @@ def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[in
         j = seg.start
         i = seg.consumed_through + 1
         final = i > m
+        lo = enter[v]
+        hi = lo + aug.subtree_size[v]
         survivors: list[int] = []
         for cand in candidates:
             pos = cand + j - 1  # text position where this segment begins
@@ -126,7 +134,7 @@ def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[in
                 continue
             reach = mrp[pos - 1]
             if final:
-                if not aug.is_descendant(reach, v):
+                if not lo <= enter[reach] < hi:
                     continue
             elif reach != v:
                 continue

@@ -27,7 +27,7 @@ from .coding import (
     parse_pstring,
     wildcard_parameters,
 )
-from .errors import IndexFormatError, PPHeapError
+from .errors import IndexFormatError, InputEncodingError, PPHeapError
 from .heap import PPHIndex, build_index
 
 MAGIC = "PPH/2"
@@ -150,7 +150,15 @@ def load(path) -> IndexBundle:
     return loads(data)
 
 
+def read_utf8(path) -> str:
+    """Contents of a UTF-8 text file; InputEncodingError names a file that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_alphabet_file(path, mode: str) -> tuple[list[Symbol], list[Symbol] | None]:
     """Read an alphabet description file; None parameters means wildcard."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    return parse_alphabet_lines(lines, mode)
+    return parse_alphabet_lines(read_utf8(path).split("\n"), mode)

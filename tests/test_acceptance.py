@@ -161,7 +161,9 @@ def test_criterion_6_invariant_audit():
             if secs:
                 assert secs == list(range(secs[0], n + 1))
             for v, spos in idx.secondaries.items():
-                assert idx.primaries[v] < spos
+                # node v holds primary position v
+                assert idx.positions_at(v) == [v, spos]
+                assert v < spos
             for v in range(1, idx.node_count):
                 x = idx.path_label(v)
                 y = idx.path_label(idx.suffixes[v])

@@ -49,7 +49,8 @@ class TestReachPointers:
         idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
         found = False
         for v, spos in idx.secondaries.items():
-            prim = idx.primaries[v]
+            prim, second = idx.positions_at(v)
+            assert second == spos
             assert aug.reach(spos) == v
             assert aug.reach(prim) == naive_mrp(idx, prim)
             if aug.reach(prim) != v:
@@ -117,33 +118,54 @@ class TestPreorder:
             aug.is_descendant(-7, 0)
 
 
+def positions_by_parent_chain(idx, u) -> list[int]:
+    """Positions of every node whose parent chain reaches u, ascending."""
+    out = []
+    for w in range(idx.node_count):
+        v = w
+        while v != u and v != ROOT:
+            v = idx.parents[v]
+        if v == u:
+            out.extend(idx.positions_at(w))
+    return sorted(out)
+
+
 class TestSubtreePositions:
     def test_root_holds_all_positions(self, ab_uvxy):
         rng = random.Random(35)
         for _ in range(20):
             raw = random_text(rng, ab_uvxy, 48)
-            idx = build_audited(raw, ab_uvxy)
-            assert subtree_positions(idx, ROOT) == list(range(1, idx.n + 1))
+            idx, aug = build_augmented(raw, ab_uvxy)
+            assert subtree_positions(idx, aug, ROOT) == list(range(1, idx.n + 1))
+            for v in range(idx.node_count):
+                assert subtree_positions(idx, aug, v) == positions_by_parent_chain(idx, v)
 
     def test_leaf_yields_its_primary(self, a_xy):
-        idx = build_audited("x", a_xy)
+        idx, aug = build_augmented("x", a_xy)
         leaf = idx.child(ROOT, 0)
-        assert subtree_positions(idx, leaf) == [1]
+        assert subtree_positions(idx, aug, leaf) == [1]
 
     def test_known_subtree(self, a_xy):
         idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
         v = idx.node_at((0, 0, 2, 2))
-        positions = subtree_positions(idx, v)
+        positions = subtree_positions(idx, aug, v)
         assert set(positions) <= {3, 4, 5, 11}
         assert positions == sorted(positions)
+        assert positions == positions_by_parent_chain(idx, v)
 
     def test_ascending_and_unique(self, ab_uvxy):
         rng = random.Random(36)
-        raw = random_text(rng, ab_uvxy, 64, min_n=8)
-        idx = build_audited(raw, ab_uvxy)
-        for v in range(idx.node_count):
-            got = subtree_positions(idx, v)
-            assert got == sorted(set(got))
+        for text in (random_text(rng, ab_uvxy, 64, min_n=8), "uv" * 20, "ua" * 9 + "u"):
+            idx, aug = build_augmented(text, ab_uvxy)
+            for v in range(idx.node_count):
+                got = subtree_positions(idx, aug, v)
+                assert got == sorted(set(got))
+                assert got == positions_by_parent_chain(idx, v)
+
+    def test_invalid_node_rejected(self, a_xy):
+        idx, aug = build_augmented("xy", a_xy)
+        with pytest.raises(InvalidNode):
+            subtree_positions(idx, aug, idx.node_count)
 
 
 def test_augment_combines_both_parts(ab_uvxy):

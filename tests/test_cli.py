@@ -69,6 +69,26 @@ class TestBuild:
             "--out", str(workspace / "x.pph")], capsys)
         assert code == 2
 
+    def test_non_utf8_text_exits_2(self, workspace, capsys):
+        (workspace / "bom16.txt").write_bytes(b"\xff\xfeu\x00v\x00")
+        out_path = workspace / "x.pph"
+        code, _, err = run([
+            "build", "--text", str(workspace / "bom16.txt"),
+            "--alphabet", str(workspace / "alphabet.txt"),
+            "--out", str(out_path)], capsys)
+        assert code == 2
+        assert "bom16.txt" in err and "UTF-8" in err
+        assert not out_path.exists()
+
+    def test_non_utf8_alphabet_exits_2(self, workspace, capsys):
+        (workspace / "alpha16.txt").write_bytes(b"\xff\xfe" + "constants ab\n".encode("utf-16-le"))
+        code, _, err = run([
+            "build", "--text", str(workspace / "text.txt"),
+            "--alphabet", str(workspace / "alpha16.txt"),
+            "--out", str(workspace / "x.pph")], capsys)
+        assert code == 2
+        assert "alpha16.txt" in err and "UTF-8" in err
+
     def test_token_mode_wildcard(self, tmp_path, capsys):
         (tmp_path / "alpha.txt").write_text("constants for while\nparameters *\n")
         (tmp_path / "code.txt").write_text("i for j while i j i\n")

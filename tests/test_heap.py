@@ -43,7 +43,7 @@ class TestBuilderBasics:
         assert idx.stats() == (1, 2, 0, 1)
         v = idx.child(ROOT, 0)
         assert v is not None
-        assert idx.primaries[v] == 1
+        assert idx.positions_at(v) == [1]
         assert v not in idx.secondaries
 
     def test_two_equal_parameters(self, a_xy):
@@ -52,7 +52,7 @@ class TestBuilderBasics:
         idx = build_audited("xx", a_xy)
         assert idx.node_count == 2
         v = idx.child(ROOT, 0)
-        assert idx.primaries[v] == 1
+        assert idx.positions_at(v) == [1, 2]
         assert idx.secondaries[v] == 2
         assert trees_equal(idx, naive_pph(idx.text))
 
@@ -86,7 +86,7 @@ class TestActivePosition:
         after = b.snapshot()
         assert sorted(after.secondaries.values()) == [8, 9]
         # 6 and 7 now sit at their own nodes as primaries
-        primaries = {after.primaries[v] for v in range(1, after.node_count)}
+        primaries = {after.positions_at(v)[0] for v in range(1, after.node_count)}
         assert {6, 7} <= primaries
         assert trees_equal(after, naive_pph(after.text))
 
@@ -98,7 +98,7 @@ class TestActivePosition:
             for s in parse_pstring(raw, ab_uvxy):
                 b.push(s)
                 snap = b.snapshot()
-                stored = {snap.primaries[v] for v in range(1, snap.node_count)}
+                stored = {snap.positions_at(v)[0] for v in range(1, snap.node_count)}
                 assert stored == set(range(1, b.active_position))
 
 

@@ -6,6 +6,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppheap import (
     EmptyPattern,
@@ -162,3 +164,49 @@ class TestOracleEquivalence:
             pat_raw = random_text(rng, ab_uvxy, 4, min_n=1)
             got = match_pattern(idx, aug, parse_pstring(pat_raw, ab_uvxy))
             assert got == sorted(set(got))
+
+
+AB_UVXY = make_alphabet(list("ab"), list("uvxy"))
+SYMBOLS = list("abuvxy")
+
+
+@st.composite
+def texts(draw):
+    """Random, block-repeated, or one-constant-one-parameter texts.
+
+    The repetitive shapes give many double nodes and deep heaps, so most
+    windows take the whole-encoding path.
+    """
+    shape = draw(st.sampled_from(["random", "repeated", "two-symbol"]))
+    if shape == "random":
+        used = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6, unique=True))
+        return draw(st.lists(st.sampled_from(used), max_size=60))
+    if shape == "repeated":
+        block = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=5))
+        tail = draw(st.lists(st.sampled_from(SYMBOLS), max_size=3))
+        return block * draw(st.integers(1, 25)) + tail
+    return draw(st.lists(st.sampled_from(["a", "x"]), max_size=60))
+
+
+@st.composite
+def text_and_pattern(draw):
+    """A text and a pattern: a window of it, or any symbols (some of them
+    absent from the text), sometimes longer than the text."""
+    text = draw(texts())
+    n = len(text)
+    if n and draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        pattern = text[start:start + draw(st.integers(1, n - start))]
+    else:
+        pattern = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=n + 3))
+    return text, pattern
+
+
+class TestMatchProperty:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=text_and_pattern())
+    def test_equals_naive_match(self, case):
+        text, pattern = case
+        idx, aug = build_augmented(text, AB_UVXY)
+        p = parse_pstring(pattern, AB_UVXY)
+        assert match_pattern(idx, aug, p) == naive_match(idx.text, p)

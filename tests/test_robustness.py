@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 from ppheap import (
     augment,
     audit_index,
@@ -10,6 +13,8 @@ from ppheap import (
     make_alphabet,
     match_pattern,
     parse_pstring,
+    prev_encode,
+    segment_walk,
 )
 from ppheap.dot import to_dot
 from ppheap.oracle import naive_match, naive_pph, trees_equal
@@ -41,6 +46,54 @@ class TestPathShapedHeap:
         idx = build_index(parse_pstring("x" * 400, alpha))
         audit_index(idx)
         assert trees_equal(idx, naive_pph(idx.text))
+
+
+@contextmanager
+def shallow_stack(headroom: int = 40):
+    """Fail with RecursionError if the body nests more than headroom frames."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDeepHeapQueries:
+    """Whole-encoding queries over heaps thousands of nodes deep."""
+
+    def check_query(self, idx, aug, pattern, expected, whole=True):
+        m = len(pattern)
+        assert (segment_walk(idx, prev_encode(pattern), 1).consumed_through == m) == whole
+        with shallow_stack():
+            got = match_pattern(idx, aug, pattern)
+        assert got == expected
+
+    def test_period_seven_text(self):
+        alpha = make_alphabet(["a", "b"], ["x", "y", "z"])
+        text = parse_pstring("xaybzxb" * 500, alpha)
+        idx = build_index(text)
+        assert idx.stats().max_depth > 400
+        aug = augment(idx)
+        for start, m in [(1, 1), (3, 4), (5, 16), (2, 64), (7, 250)]:
+            pattern = text[start - 1:start - 1 + m]
+            self.check_query(idx, aug, pattern, naive_match(text, pattern))
+
+    def test_single_parameter_power(self):
+        alpha = make_alphabet([], ["x"])
+        n = 3000
+        idx = build_index(parse_pstring("x" * n, alpha))
+        depth = idx.stats().max_depth
+        assert depth == n // 2
+        aug = augment(idx)
+        # up to the depth the whole encoding is a node; beyond it, segments
+        for m in (1, 2, 50, depth - 1, depth, depth + 1, n):
+            pattern = parse_pstring("x" * m, alpha)
+            self.check_query(idx, aug, pattern, list(range(1, n - m + 2)), m <= depth)
+        assert match_pattern(idx, aug, parse_pstring("x" * (n + 1), alpha)) == []
 
 
 class TestTokenSymbols:
