@@ -11,19 +11,14 @@ holds deliberately naive reference implementations for cross-validation.
 from .augment import Augmentation, augment, compute_mrp, preorder_intervals, subtree_positions
 from .coding import (
     Alphabet,
-    IncrementalEncoder,
     PrevLabel,
-    PrevString,
     PString,
-    PSymbol,
     Symbol,
     make_alphabet,
     norm,
-    p_match_eq,
     parse_alphabet_lines,
     parse_pstring,
     prev_encode,
-    render_prev,
 )
 from .dot import to_dot
 from .errors import (
@@ -62,7 +57,6 @@ __all__ = [
     "Builder",
     "DuplicateSymbol",
     "EmptyPattern",
-    "IncrementalEncoder",
     "IndexBundle",
     "IndexFormatError",
     "IndexStats",
@@ -73,9 +67,7 @@ __all__ = [
     "PPHIndex",
     "PPHeapError",
     "PString",
-    "PSymbol",
     "PrevLabel",
-    "PrevString",
     "ROOT",
     "SegmentWalk",
     "StructuralError",
@@ -97,13 +89,11 @@ __all__ = [
     "naive_pph",
     "naive_sequence_hash_tree",
     "norm",
-    "p_match_eq",
     "parse_alphabet_lines",
     "parse_pstring",
     "preorder_intervals",
     "prev_encode",
     "read_alphabet_file",
-    "render_prev",
     "run_selftest",
     "save",
     "segment_walk",

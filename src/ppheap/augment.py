@@ -16,7 +16,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 
-from .coding import SENTINEL
 from .errors import InvalidNode
 from .heap import ROOT, PPHIndex
 
@@ -68,8 +67,8 @@ def compute_mrp(idx: PPHIndex) -> array:
 
     Walks positions in order; each step restarts from the previous reach
     node's suffix pointer and extends while a child matches the next
-    re-normalized text label. A virtual end-of-text label past position n
-    guarantees the descent stops.
+    re-normalized text label; the descent stops at a missing child or at
+    the end of the text.
     """
     n = idx.n
     prev_text = idx.prev_text
@@ -79,8 +78,8 @@ def compute_mrp(idx: PPHIndex) -> array:
     cur = ROOT
     scan = 1  # 1-based text position about to be consumed
     for i in range(1, n + 1):
-        while True:
-            c = prev_text[scan - 1] if scan <= n else SENTINEL
+        while scan <= n:
+            c = prev_text[scan - 1]
             if type(c) is int and c > scan - i:
                 c = 0
             kids = children[cur]

@@ -1,8 +1,8 @@
 """Command-line front end: build, query, selftest, export-dot, stats.
 
 Exit codes: 0 success, 1 bad input symbols or pattern, 2 I/O or index file
-problems, 3 malformed alphabet file, 4 verification mismatch or selftest
-failure. Results go to stdout, diagnostics to stderr.
+problems or a bad command line, 3 malformed alphabet file, 4 verification
+mismatch or selftest failure. Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .storage import IndexBundle, load, read_alphabet_file, read_utf8, save
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_IO = 2
+EXIT_USAGE = 2  # argparse's own code for a bad command line
 EXIT_ALPHABET = 3
 EXIT_MISMATCH = 4
 
@@ -41,10 +42,9 @@ def _read_text_file(path: str, mode: str) -> list[Symbol]:
     content = read_utf8(path)
     if mode == "token":
         return content.split()
-    # char mode: one line of symbols; a trailing newline is not text
+    # char mode: one line of symbols; a trailing newline is not text (read_utf8
+    # reads with universal newlines, so a trailing "\r\n" arrives as "\n")
     if content.endswith("\n"):
-        content = content[:-1]
-    if content.endswith("\r"):
         content = content[:-1]
     return list(content)
 
@@ -97,6 +97,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    for option, value in (("--trials", args.trials), ("--max-n", args.max_n),
+                          ("--sigma", args.sigma), ("--pi", args.pi)):
+        if value < 0:
+            print(f"error: {option} must not be negative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.sigma + args.pi > 26:
+        print(f"error: --sigma plus --pi must be at most 26 (the letters a-z), "
+              f"got {args.sigma + args.pi}", file=sys.stderr)
+        return EXIT_USAGE
     failure = run_selftest(args.trials, args.max_n, args.sigma, args.pi, args.seed)
     if failure is not None:
         print(failure.describe(), file=sys.stderr)

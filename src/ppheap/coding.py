@@ -8,6 +8,8 @@ first occurrence) and leaves constants untouched. Two p-strings match under
 some renaming of parameters exactly when their prev-encodings are equal,
 which reduces renaming-insensitive comparison to plain equality.
 
+A p-string is a tuple of raw symbols together with its alphabet; a
+symbol's class is simply whether the alphabet declares it a parameter.
 Encoded labels are represented directly: a constant label is the symbol
 itself (a ``str``), an offset label is a non-negative ``int``. A prev-encoded
 string is a plain tuple of such labels.
@@ -15,7 +17,6 @@ string is a plain tuple of such labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -27,35 +28,6 @@ from .errors import (
 
 Symbol = str
 PrevLabel = Union[str, int]
-PrevString = tuple[PrevLabel, ...]
-
-
-class _EndOfText:
-    """Virtual label distinct from every constant and offset.
-
-    Used as a guard past the last text position so that descents always
-    terminate; it never appears in any stored label or children map.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "<end-of-text>"
-
-
-SENTINEL = _EndOfText()
-
-
-@dataclass(frozen=True, slots=True)
-class PSymbol:
-    """One classified symbol: the atom plus whether it is a parameter."""
-
-    sym: Symbol
-    is_param: bool
-
-    def __repr__(self) -> str:
-        kind = "param" if self.is_param else "const"
-        return f"PSymbol({self.sym!r}, {kind})"
 
 
 class Alphabet:
@@ -65,12 +37,14 @@ class Alphabet:
     in token mode); only identity and membership matter. Declaration order
     is preserved and defines the total label order used wherever traversal
     must be deterministic: constants first, in declaration order, then
-    offsets in numeric order.
+    offsets in numeric order. ``_is_param`` maps every declared symbol to
+    whether it is a parameter; ``prev_encode`` and ``Builder.push`` classify
+    a symbol with one lookup in it.
 
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("constants", "parameters", "_const_rank", "_params", "_classes")
+    __slots__ = ("constants", "parameters", "_const_rank", "_is_param")
 
     def __init__(self, constants: Iterable[Symbol], parameters: Iterable[Symbol]):
         self.constants = tuple(constants)
@@ -87,29 +61,14 @@ class Alphabet:
             raise OverlappingAlphabet(
                 f"symbols declared both constant and parameter: {sorted(overlap)!r}")
         self._const_rank = {sym: i for i, sym in enumerate(self.constants)}
-        self._params = frozenset(self.parameters)
-        # one shared PSymbol per declared symbol; PSymbol is immutable
-        self._classes = {sym: PSymbol(sym, False) for sym in self.constants}
-        self._classes.update((sym, PSymbol(sym, True)) for sym in self.parameters)
+        self._is_param = dict.fromkeys(self.constants, False)
+        self._is_param.update(dict.fromkeys(self.parameters, True))
 
     def is_constant(self, sym: Symbol) -> bool:
         return sym in self._const_rank
 
     def is_parameter(self, sym: Symbol) -> bool:
-        return sym in self._params
-
-    def is_member(self, s: PSymbol) -> bool:
-        """True when the classified symbol belongs to this alphabet, tag included."""
-        if s.is_param:
-            return s.sym in self._params
-        return s.sym in self._const_rank
-
-    def classify(self, sym: Symbol, position: int | None = None) -> PSymbol:
-        """Tag a raw symbol as constant or parameter; raise UnknownSymbol otherwise."""
-        try:
-            return self._classes[sym]
-        except KeyError:
-            raise UnknownSymbol(sym, position) from None
+        return self._is_param.get(sym, False)
 
     def label_key(self, label: PrevLabel) -> tuple[int, object]:
         """Sort key realizing the total label order."""
@@ -132,15 +91,17 @@ def make_alphabet(constants: Iterable[Symbol], parameters: Iterable[Symbol]) -> 
 
 
 class PString:
-    """A validated sequence of classified symbols tied to its alphabet.
+    """A validated sequence of raw symbols tied to its alphabet.
 
-    Immutable; indexing yields PSymbol values and slicing yields PString
-    views over the same alphabet.
+    Immutable; indexing yields symbols and slicing yields PString views
+    over the same alphabet. Whether a symbol is a parameter is the
+    alphabet's to say, so two p-strings are equal only when both their
+    symbols and their alphabets are.
     """
 
     __slots__ = ("symbols", "alphabet")
 
-    def __init__(self, symbols: tuple[PSymbol, ...], alphabet: Alphabet):
+    def __init__(self, symbols: tuple[Symbol, ...], alphabet: Alphabet):
         self.symbols = symbols
         self.alphabet = alphabet
 
@@ -152,34 +113,30 @@ class PString:
             return PString(self.symbols[i], self.alphabet)
         return self.symbols[i]
 
-    def __iter__(self) -> Iterator[PSymbol]:
+    def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PString) and self.symbols == other.symbols
+        return (isinstance(other, PString) and self.symbols == other.symbols
+                and self.alphabet == other.alphabet)
 
     def __repr__(self) -> str:
-        return f"PString({''.join(map(str, self.raw()))!r})"
-
-    def raw(self) -> tuple[Symbol, ...]:
-        """The underlying symbols without classification tags."""
-        return tuple(s.sym for s in self.symbols)
+        return f"PString({''.join(self.symbols)!r})"
 
 
 def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
-    """Classify each raw symbol against the alphabet.
+    """Check each raw symbol against the alphabet.
 
     ``raw`` is any iterable of symbols: a str in char mode, a token list in
-    token mode. Raises UnknownSymbol naming the 1-based offending position.
+    token mode. Raises UnknownSymbol naming the 1-based position of the
+    first undeclared symbol.
     """
-    if not isinstance(raw, (str, list, tuple)):
-        raw = tuple(raw)
-    try:
-        return PString(tuple(map(alphabet._classes.__getitem__, raw)), alphabet)
-    except KeyError as exc:
-        sym = exc.args[0]
-        # map stops at the first unknown symbol, which is sym's first occurrence
-        raise UnknownSymbol(sym, raw.index(sym) + 1) from None
+    symbols = tuple(raw)
+    known = alphabet._is_param
+    if not known.keys() >= set(symbols):
+        i = next(i for i, sym in enumerate(symbols) if sym not in known)
+        raise UnknownSymbol(symbols[i], i + 1)
+    return PString(symbols, alphabet)
 
 
 def wildcard_parameters(tokens: Iterable[Symbol], constants: Iterable[Symbol]) -> list[Symbol]:
@@ -198,67 +155,25 @@ def prev_encode(w: PString) -> tuple[PrevLabel, ...]:
     parameter's first occurrence, and to i - j where j is the nearest
     earlier position holding the same parameter symbol.
     """
+    is_param = w.alphabet._is_param
     last: dict[Symbol, int] = {}
-    out = []
-    for i, s in enumerate(w.symbols, start=1):
-        if s.is_param:
-            j = last.get(s.sym)
-            out.append(0 if j is None else i - j)
-            last[s.sym] = i
-        else:
-            out.append(s.sym)
+    out: list[PrevLabel] = list(w.symbols)
+    for i, sym in enumerate(w.symbols):
+        if is_param[sym]:
+            out[i] = i - last.get(sym, i)
+            last[sym] = i
     return tuple(out)
-
-
-class IncrementalEncoder:
-    """Streams prev-encoding labels one symbol at a time.
-
-    Feeding a whole string through push() yields exactly prev_encode of
-    that string. Single-owner mutable; not safe to share across threads.
-    """
-
-    __slots__ = ("alphabet", "last_occurrence", "length")
-
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.last_occurrence: dict[Symbol, int] = {}
-        self.length = 0
-
-    def push(self, s: PSymbol) -> PrevLabel:
-        """Consume one symbol and return its prev-encoding label."""
-        self.length += 1
-        if not s.is_param:
-            return s.sym
-        j = self.last_occurrence.get(s.sym)
-        self.last_occurrence[s.sym] = self.length
-        return 0 if j is None else self.length - j
-
-    def copy(self) -> "IncrementalEncoder":
-        dup = IncrementalEncoder(self.alphabet)
-        dup.last_occurrence = dict(self.last_occurrence)
-        dup.length = self.length
-        return dup
 
 
 def norm(c: PrevLabel, j: int) -> PrevLabel:
     """Re-normalize a prev label for a window of length j.
 
     An offset reaching back past the window start collapses to 0; constants
-    (and the end-of-text marker) pass through unchanged.
+    pass through unchanged.
     """
     if isinstance(c, int) and c > j:
         return 0
     return c
-
-
-def p_match_eq(w1: PString, w2: PString) -> bool:
-    """True when the two p-strings match under some renaming of parameters."""
-    return prev_encode(w1) == prev_encode(w2)
-
-
-def render_prev(prev: Iterable[PrevLabel]) -> str:
-    """Render an encoded string with offsets in decimal, space-delimited."""
-    return " ".join(str(c) for c in prev)
 
 
 def parse_alphabet_lines(lines: list[str], mode: str) -> tuple[list[Symbol], list[Symbol] | None]:

@@ -21,14 +21,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple, Optional
 
-from .coding import (
-    Alphabet,
-    IncrementalEncoder,
-    PrevLabel,
-    PString,
-    PSymbol,
-    norm,
-)
+from .coding import Alphabet, PrevLabel, PString, Symbol, norm
 from .errors import InvalidNode, StructuralError, UnknownSymbol
 
 ROOT = 0
@@ -45,17 +38,18 @@ class IndexStats(NamedTuple):
 class PPHIndex:
     """Finalized, immutable position-heap index over a p-string text.
 
-    The arena is held as parallel per-node sequences indexed by node id:
-    ``parents`` (-1 for the root), ``labels`` (incoming edge label, None for
-    the root), ``depths``, ``children`` (dict label -> child id, or None for
-    a leaf), ``suffixes`` (BOTTOM for the root); ``parents``, ``depths`` and
-    ``suffixes`` are ``array('i')``. Every non-root node v holds
-    primary position v. ``secondaries`` maps the node ids of double nodes to
-    their secondary position. ``preorder`` lists the node ids in one
-    preorder, root first, so every subtree is one contiguous run of it and,
-    because node v holds position v, that run is also the subtree's primary
-    positions. Treat a finalized index as read-only; concurrent queries over
-    it are safe.
+    ``text`` is the indexed p-string (raw symbols plus the alphabet) and
+    ``prev_text`` its prev-encoding. The arena is held as parallel per-node
+    sequences indexed by node id: ``parents`` (-1 for the root), ``labels``
+    (incoming edge label, None for the root), ``depths``, ``children`` (dict
+    label -> child id, or None for a leaf), ``suffixes`` (BOTTOM for the
+    root); ``parents``, ``depths`` and ``suffixes`` are ``array('i')``.
+    Every non-root node v holds primary position v. ``secondaries`` maps
+    the node ids of double nodes to their secondary position. ``preorder``
+    lists the node ids in one preorder, root first, so every subtree is one
+    contiguous run of it and, because node v holds position v, that run is
+    also the subtree's primary positions. Treat a finalized index as
+    read-only; concurrent queries over it are safe.
     """
 
     __slots__ = ("alphabet", "text", "prev_text", "parents", "labels",
@@ -140,23 +134,25 @@ class PPHIndex:
 
 
 class Builder:
-    """Single-owner online builder: push symbols, then finalize.
+    """Single-owner online builder: push raw symbols, then finalize.
 
-    After k pushed symbols, suffix start positions below the active
-    position already sit at their permanent node as primaries; positions
-    from the active position through k are pending and get materialized as
-    secondary positions by finalize(). finalize() consumes the builder;
-    snapshot() finalizes a copy so the stream can continue.
+    Each pushed symbol is prev-encoded inline, from the last position that
+    held each parameter. After k pushed symbols, suffix start positions
+    below the active position already sit at their permanent node as
+    primaries; positions from the active position through k are pending and
+    get materialized as secondary positions by finalize(). finalize()
+    consumes the builder; snapshot() finalizes a copy so the stream can
+    continue.
     """
 
-    __slots__ = ("alphabet", "_encoder", "_symbols", "_prev", "_parents",
+    __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
                  "_labels", "_depths", "_children", "_suffixes",
                  "_active_node", "_active_pos", "_k", "_done", "suffix_steps")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._encoder = IncrementalEncoder(alphabet)
-        self._symbols: list[PSymbol] = []
+        self._last: dict[Symbol, int] = {}  # parameter -> last position holding it
+        self._symbols: list[Symbol] = []
         self._prev: list[PrevLabel] = []
         # arena with the root node only
         self._parents: list[int] = [-1]
@@ -183,16 +179,25 @@ class Builder:
     def active_node(self) -> int:
         return self._active_node
 
-    def push(self, s: PSymbol) -> None:
-        """Consume one symbol, updating the heap for the longer text."""
+    def push(self, sym: Symbol) -> None:
+        """Consume one raw symbol, updating the heap for the longer text.
+
+        An undeclared symbol raises UnknownSymbol naming its position and
+        leaves the builder unchanged.
+        """
         if self._done:
             raise RuntimeError("builder already finalized")
-        if not self.alphabet.is_member(s):
-            raise UnknownSymbol(s.sym, self._k + 1)
-        label = self._encoder.push(s)
-        self._symbols.append(s)
-        self._prev.append(label)
+        try:
+            is_param = self.alphabet._is_param[sym]
+        except KeyError:
+            raise UnknownSymbol(sym, self._k + 1) from None
         self._k += 1
+        label = sym
+        if is_param:
+            label = self._k - self._last.get(sym, self._k)
+            self._last[sym] = self._k
+        self._symbols.append(sym)
+        self._prev.append(label)
 
         parents = self._parents
         labels = self._labels
@@ -238,7 +243,7 @@ class Builder:
         self._active_pos = spos
 
     def extend(self, symbols) -> None:
-        """Push every symbol of an iterable (e.g. a PString)."""
+        """Push every raw symbol of an iterable (e.g. a PString)."""
         for s in symbols:
             self.push(s)
 
@@ -279,7 +284,7 @@ class Builder:
         """Finalize a deep copy, leaving this builder usable mid-stream."""
         dup = Builder.__new__(Builder)
         dup.alphabet = self.alphabet
-        dup._encoder = self._encoder.copy()
+        dup._last = dict(self._last)
         dup._symbols = list(self._symbols)
         dup._prev = list(self._prev)
         dup._parents = list(self._parents)
@@ -298,8 +303,7 @@ class Builder:
 def build_index(text: PString) -> PPHIndex:
     """Build the finalized index for a whole p-string in one call."""
     b = Builder(text.alphabet)
-    for s in text.symbols:
-        b.push(s)
+    b.extend(text.symbols)
     return b.finalize()
 
 

@@ -93,7 +93,7 @@ def dumps(bundle: IndexBundle) -> str:
         _symbols_line("constants", idx.alphabet.constants, mode),
         parameters,
         f"n {idx.n}",
-        sep.join(idx.text.raw()),
+        sep.join(idx.text.symbols),
     )) + "\n"
     return body + _checksum_line(body) + "\n"
 

@@ -69,6 +69,19 @@ class TestBuild:
             "--out", str(workspace / "x.pph")], capsys)
         assert code == 2
 
+    def test_crlf_line_end_is_not_text(self, workspace, capsys):
+        (workspace / "crlf.txt").write_bytes(b"uvaubuavbv\r\n")
+        blobs = []
+        for name in ("text.txt", "crlf.txt"):
+            out_path = workspace / f"{name}.pph"
+            code, out, _ = run([
+                "build", "--text", str(workspace / name),
+                "--alphabet", str(workspace / "alphabet.txt"),
+                "--mode", "char", "--out", str(out_path)], capsys)
+            assert code == 0 and "n=10" in out
+            blobs.append(out_path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_non_utf8_text_exits_2(self, workspace, capsys):
         (workspace / "bom16.txt").write_bytes(b"\xff\xfeu\x00v\x00")
         out_path = workspace / "x.pph"
@@ -270,3 +283,17 @@ class TestSelftest:
         code, _, _ = run(["selftest", "--trials", "10", "--max-n", "8",
                           "--sigma", "0", "--pi", "2", "--seed", "1"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("args, option", [
+        (["--trials", "-3"], "--trials"),
+        (["--max-n", "-5"], "--max-n"),
+        (["--sigma", "-1"], "--sigma"),
+        (["--pi", "-2"], "--pi"),
+        (["--sigma", "20", "--pi", "7"], "--sigma plus --pi"),
+    ], ids=["trials", "max-n", "sigma", "pi", "sigma-plus-pi"])
+    def test_bad_argument_refused(self, args, option, capsys):
+        code, out, err = run(["selftest", *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and option in err
+        assert "Traceback" not in err

@@ -8,16 +8,13 @@ import pytest
 
 from ppheap import (
     DuplicateSymbol,
-    IncrementalEncoder,
     OverlappingAlphabet,
     UnknownSymbol,
     make_alphabet,
     norm,
-    p_match_eq,
     parse_alphabet_lines,
     parse_pstring,
     prev_encode,
-    render_prev,
 )
 from ppheap.errors import AlphabetFormatError
 
@@ -58,7 +55,8 @@ class TestParse:
     def test_classification(self, ab_uvxy):
         w = parse_pstring("uvaubuavbv", ab_uvxy)
         assert len(w) == 10
-        const_positions = [i for i, s in enumerate(w, start=1) if not s.is_param]
+        const_positions = [i for i, s in enumerate(w, start=1)
+                           if not ab_uvxy.is_parameter(s)]
         assert const_positions == [3, 5, 7, 9]
 
     def test_empty(self, ab_uvxy):
@@ -74,7 +72,15 @@ class TestParse:
         w = parse_pstring("uvau", ab_uvxy)
         tail = w[1:]
         assert tail.alphabet is ab_uvxy
-        assert tail.raw() == ("v", "a", "u")
+        assert tail.symbols == ("v", "a", "u")
+
+    def test_alphabet_takes_part_in_equality(self, ab_uvxy):
+        # x is a parameter in one alphabet and a constant in the other
+        w = parse_pstring("xax", ab_uvxy)
+        assert w == parse_pstring("xax", make_alphabet(list("ab"), list("uvxy")))
+        other = parse_pstring("xax", make_alphabet(list("ax"), list("uv")))
+        assert w.symbols == other.symbols
+        assert w != other
 
 
 class TestPrevEncode:
@@ -122,7 +128,8 @@ class TestPrevEncode:
                 cls[i] = i if c == 0 else cls[i - c]
             for i in range(1, len(raw) + 1):
                 for j in range(i + 1, len(raw) + 1):
-                    if w[i - 1].is_param and w[j - 1].is_param:
+                    if (ab_uvxy.is_parameter(w[i - 1])
+                            and ab_uvxy.is_parameter(w[j - 1])):
                         assert (cls[i] == cls[j]) == (raw[i - 1] == raw[j - 1])
 
     def test_drop_first_symbol_law(self, ab_uvxy):
@@ -137,33 +144,6 @@ class TestPrevEncode:
                 assert len(b) == len(a) - 1
                 for k in range(len(b)):
                     assert b[k] == norm(a[k + 1], k)
-
-
-class TestIncrementalEncoder:
-    def test_streaming_matches_batch(self, ab_uvxy):
-        w = parse_pstring("uvuvauuvb", ab_uvxy)
-        enc = IncrementalEncoder(ab_uvxy)
-        assert tuple(enc.push(s) for s in w) == prev_encode(w)
-
-    def test_first_labels(self, ab_uvxy):
-        enc = IncrementalEncoder(ab_uvxy)
-        got = [enc.push(ab_uvxy.classify(c)) for c in "uvu"]
-        assert got == [0, 0, 2]
-
-    def test_constant_does_not_touch_history(self, ab_uvxy):
-        enc = IncrementalEncoder(ab_uvxy)
-        enc.push(ab_uvxy.classify("u"))
-        before = dict(enc.last_occurrence)
-        assert enc.push(ab_uvxy.classify("a")) == "a"
-        assert enc.last_occurrence == before
-
-    def test_streaming_matches_batch_random(self, ab_uvxy):
-        rng = random.Random(15)
-        for _ in range(50):
-            raw = random_text(rng, ab_uvxy, 50)
-            w = parse_pstring(raw, ab_uvxy)
-            enc = IncrementalEncoder(ab_uvxy)
-            assert tuple(enc.push(s) for s in w) == prev_encode(w)
 
 
 class TestNorm:
@@ -181,20 +161,23 @@ class TestNorm:
 
 
 class TestPMatch:
+    """Two p-strings match under renaming exactly when their encodings are equal."""
+
     def test_known_matching_pair(self, ab_uvxy):
         s1 = parse_pstring("uvuvauuvb", ab_uvxy)
         s2 = parse_pstring("xyxyaxxyb", ab_uvxy)
-        assert p_match_eq(s1, s2)
+        assert prev_encode(s1) == prev_encode(s2)
 
     def test_reflexive(self, ab_uvxy):
         rng = random.Random(16)
         for _ in range(30):
-            w = parse_pstring(random_text(rng, ab_uvxy, 20), ab_uvxy)
-            assert p_match_eq(w, w)
+            raw = random_text(rng, ab_uvxy, 20)
+            assert (prev_encode(parse_pstring(raw, ab_uvxy))
+                    == prev_encode(parse_pstring(list(raw), ab_uvxy)))
 
     def test_distinct_structure(self, ab_uvxy):
-        assert not p_match_eq(parse_pstring("uv", ab_uvxy),
-                              parse_pstring("uu", ab_uvxy))
+        assert (prev_encode(parse_pstring("uv", ab_uvxy))
+                != prev_encode(parse_pstring("uu", ab_uvxy)))
 
     def test_invariant_under_renaming(self, ab_uvxy):
         rng = random.Random(17)
@@ -205,25 +188,33 @@ class TestPMatch:
             rng.shuffle(renamed)
             table = dict(zip(params, renamed))
             other = [table.get(c, c) for c in raw]
-            assert p_match_eq(parse_pstring(raw, ab_uvxy),
-                              parse_pstring(other, ab_uvxy))
+            assert (prev_encode(parse_pstring(raw, ab_uvxy))
+                    == prev_encode(parse_pstring(other, ab_uvxy)))
 
     def test_equivalence_on_samples(self, ab_uvxy):
+        """Equal encodings exactly when a one-to-one renaming maps one word onto the other."""
+        def renamable(a, b):
+            if len(a) != len(b):
+                return False
+            forward, backward = {}, {}
+            for x, y in zip(a, b):
+                if ab_uvxy.is_parameter(x) != ab_uvxy.is_parameter(y):
+                    return False
+                if not ab_uvxy.is_parameter(x):
+                    if x != y:
+                        return False
+                elif forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:
+                    return False
+            return True
+
         rng = random.Random(18)
-        words = [parse_pstring(random_text(rng, ab_uvxy, 6), ab_uvxy)
-                 for _ in range(20)]
+        words = [random_text(rng, ab_uvxy, 6) for _ in range(40)]
+        words += [list("uvu"), list("xyx"), list("uvv"), list("uau"), list("xax")]
         for w1 in words:
+            e1 = prev_encode(parse_pstring(w1, ab_uvxy))
             for w2 in words:
-                assert p_match_eq(w1, w2) == p_match_eq(w2, w1)
-                for w3 in words:
-                    if p_match_eq(w1, w2) and p_match_eq(w2, w3):
-                        assert p_match_eq(w1, w3)
-
-
-class TestRender:
-    def test_decimal_offsets_with_delimiter(self, ab_uvxy):
-        pre = prev_encode(parse_pstring("uvuvauuvb", ab_uvxy))
-        assert render_prev(pre) == "0 0 2 2 a 3 1 4 b"
+                e2 = prev_encode(parse_pstring(w2, ab_uvxy))
+                assert (e1 == e2) == renamable(w1, w2)
 
 
 class TestAlphabetLines:

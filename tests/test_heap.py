@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ppheap import (
     BOTTOM,
@@ -13,13 +16,21 @@ from ppheap import (
     ROOT,
     UnknownSymbol,
     audit_index,
+    augment,
     build_index,
     make_alphabet,
+    match_pattern,
     norm,
     parse_pstring,
     prev_encode,
 )
-from ppheap.oracle import naive_pph, naive_sequence_hash_tree, trees_equal
+from ppheap.oracle import (
+    naive_match,
+    naive_mrp,
+    naive_pph,
+    naive_sequence_hash_tree,
+    trees_equal,
+)
 
 from conftest import build_audited, random_text
 
@@ -64,12 +75,30 @@ class TestBuilderBasics:
         b = Builder(a_xy)
         b.finalize()
         with pytest.raises(RuntimeError):
-            b.push(a_xy.classify("x"))
+            b.push("x")
 
     def test_push_foreign_symbol_rejected(self, a_xy):
         b = Builder(a_xy)
-        with pytest.raises(UnknownSymbol):
-            b.push(make_alphabet([], ["q"]).classify("q"))
+        b.push("x")
+        with pytest.raises(UnknownSymbol) as info:
+            b.push("q")
+        assert (info.value.symbol, info.value.position) == ("q", 2)
+        assert b.size == 1
+
+
+class TestInlineEncoding:
+    """push() prev-encodes each symbol as it arrives."""
+
+    def test_first_labels(self, ab_uvxy):
+        b = Builder(ab_uvxy)
+        b.extend("uvu")
+        assert b.snapshot().prev_text == (0, 0, 2)
+
+    def test_constant_does_not_touch_history(self, ab_uvxy):
+        # the constant takes a position but no parameter's last occurrence
+        b = Builder(ab_uvxy)
+        b.extend("uau")
+        assert b.snapshot().prev_text == (0, "a", 2)
 
 
 class TestActivePosition:
@@ -81,7 +110,7 @@ class TestActivePosition:
         before = b.snapshot()
         assert sorted(before.secondaries.values()) == [6, 7, 8]
 
-        b.push(a_xy.classify("x"))
+        b.push("x")
         assert b.active_position == 8
         after = b.snapshot()
         assert sorted(after.secondaries.values()) == [8, 9]
@@ -220,7 +249,7 @@ class TestDegenerate:
     def test_constant_only_equals_plain_suffix_tree(self):
         alpha = make_alphabet(list("ab"), [])
         idx = build_audited("abbaabaabaabab", alpha)
-        plain = [tuple(idx.text.raw()[i:]) for i in range(idx.n)]
+        plain = [idx.text.symbols[i:] for i in range(idx.n)]
         assert trees_equal(idx, naive_sequence_hash_tree(plain))
 
     def test_random_constant_only(self):
@@ -249,3 +278,49 @@ def test_build_index_convenience(ab_uvxy):
     audit_index(idx)
     assert idx.n == 10
     assert trees_equal(idx, naive_pph(text))
+
+
+class BuilderMachine(RuleBasedStateMachine):
+    """Random push / rejected push / snapshot sequences over constants {a},
+    parameters {x, y}, every snapshot checked against the oracle."""
+
+    alphabet = make_alphabet(["a"], ["x", "y"])
+
+    def __init__(self):
+        super().__init__()
+        self.builder = Builder(self.alphabet)
+        self.raw: list[str] = []
+
+    @rule(sym=st.sampled_from("axy"))
+    def push(self, sym):
+        self.builder.push(sym)
+        self.raw.append(sym)
+
+    @rule(sym=st.sampled_from(["b", "z", "xy", ""]))
+    def push_undeclared(self, sym):
+        with pytest.raises(UnknownSymbol) as info:
+            self.builder.push(sym)
+        assert (info.value.symbol, info.value.position) == (sym, len(self.raw) + 1)
+
+    @rule(pattern=st.lists(st.sampled_from("axy"), min_size=1, max_size=6))
+    def snapshot(self, pattern):
+        snap = self.builder.snapshot()
+        text = parse_pstring(self.raw, self.alphabet)
+        assert snap.text == text
+        audit_index(snap)
+        assert trees_equal(snap, naive_pph(text))
+        assert snap.prev_text == prev_encode(text)
+        aug = augment(snap)
+        for i in range(1, snap.n + 1):
+            assert aug.mrp[i - 1] == naive_mrp(snap, i)
+        p = parse_pstring(pattern, self.alphabet)
+        assert match_pattern(snap, aug, p) == naive_match(text, p)
+
+    @invariant()
+    def size_counts_accepted_pushes(self):
+        assert self.builder.size == len(self.raw)
+
+
+TestBuilderMachine = BuilderMachine.TestCase
+TestBuilderMachine.settings = settings(
+    max_examples=100, stateful_step_count=40, derandomize=True, deadline=None)

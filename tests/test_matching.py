@@ -77,7 +77,8 @@ class TestEdgeCases:
             raw = random_text(rng, ab_uvxy, 32, min_n=1)
             idx, aug = build_augmented(raw, ab_uvxy)
             p = parse_pstring("x", ab_uvxy)
-            expected = [i for i, s in enumerate(idx.text, start=1) if s.is_param]
+            expected = [i for i, s in enumerate(idx.text, start=1)
+                        if ab_uvxy.is_parameter(s)]
             assert match_pattern(idx, aug, p) == expected
 
     def test_constant_absent_from_text(self, ab_uvxy):

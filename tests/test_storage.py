@@ -60,7 +60,7 @@ class TestRoundTrip:
         blob = dumps(bundle)
         again = loads(blob)
         assert again.mode == "token"
-        assert again.index.text.raw() == ("i", "for", "j", "i")
+        assert again.index.text.symbols == ("i", "for", "j", "i")
         assert dumps(again) == blob
 
     def test_wildcard_round_trip(self):
