@@ -100,6 +100,23 @@ class TestInlineEncoding:
         b.extend("uau")
         assert b.snapshot().prev_text == (0, "a", 2)
 
+    def test_streaming_matches_batch(self, ab_uvxy):
+        w = parse_pstring("uvuvauuvb", ab_uvxy)
+        b = Builder(ab_uvxy)
+        got = []
+        for s in w:
+            b.push(s)
+            got.append(b.snapshot().prev_text[-1])
+        assert tuple(got) == prev_encode(w)
+
+    def test_streaming_matches_batch_random(self, ab_uvxy):
+        rng = random.Random(15)
+        for _ in range(50):
+            w = parse_pstring(random_text(rng, ab_uvxy, 50), ab_uvxy)
+            b = Builder(ab_uvxy)
+            b.extend(w)
+            assert b.snapshot().prev_text == prev_encode(w)
+
 
 class TestActivePosition:
     def test_pending_positions_promoted(self, a_xy):
