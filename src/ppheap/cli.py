@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 
-from .augment import augment
 from .coding import Symbol, make_alphabet, parse_pstring, wildcard_parameters
 from .dot import to_dot
 from .errors import (
@@ -39,13 +38,14 @@ EXIT_MISMATCH = 4
 
 
 def _read_text_file(path: str, mode: str) -> list[Symbol]:
-    content = read_utf8(path)
+    # read without newline translation, so a lone "\r" inside a char-mode
+    # text stays the symbol it is (token mode splits on it either way)
+    content = read_utf8(path, newline="")
     if mode == "token":
         return content.split()
-    # char mode: one line of symbols; a trailing newline is not text (read_utf8
-    # reads with universal newlines, so a trailing "\r\n" arrives as "\n")
+    # char mode: one line of symbols; one trailing "\n" or "\r\n" is not text
     if content.endswith("\n"):
-        content = content[:-1]
+        content = content[:-2] if content.endswith("\r\n") else content[:-1]
     return list(content)
 
 
@@ -57,11 +57,12 @@ def cmd_build(args) -> int:
         parameters = wildcard_parameters(raw, constants)
     alphabet = make_alphabet(constants, parameters)
     text = parse_pstring(raw, alphabet)
+    # the index file holds only the alphabet and the text, so the
+    # augmentation is left to whoever loads it
     started = time.perf_counter()
     idx = build_index(text)
-    aug = augment(idx)
     elapsed = time.perf_counter() - started
-    save(IndexBundle(idx, aug, args.mode, wildcard), args.out)
+    save(IndexBundle(idx, None, args.mode, wildcard), args.out)
     st = idx.stats()
     print(f"n={st.n} nodes={st.node_count} double={st.double_count} "
           f"depth={st.max_depth} build_s={elapsed:.3f}")

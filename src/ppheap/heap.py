@@ -19,7 +19,7 @@ lets the update loop terminate without special cases.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .coding import Alphabet, PrevLabel, PString, Symbol, norm
 from .errors import InvalidNode, StructuralError, UnknownSymbol
@@ -147,7 +147,7 @@ class Builder:
 
     __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
                  "_labels", "_depths", "_children", "_suffixes",
-                 "_active_node", "_active_pos", "_k", "_done", "suffix_steps")
+                 "_active_node", "_active_pos", "_k", "_done")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -164,7 +164,6 @@ class Builder:
         self._active_pos = 1
         self._k = 0
         self._done = False
-        self.suffix_steps = 0  # total suffix-pointer traversals, for audits
 
     @property
     def size(self) -> int:
@@ -179,73 +178,94 @@ class Builder:
     def active_node(self) -> int:
         return self._active_node
 
-    def push(self, sym: Symbol) -> None:
-        """Consume one raw symbol, updating the heap for the longer text.
+    @property
+    def suffix_steps(self) -> int:
+        """Total suffix-pointer traversals so far: one per created node."""
+        return len(self._parents) - 1
 
-        An undeclared symbol raises UnknownSymbol naming its position and
-        leaves the builder unchanged.
+    def push(self, sym: Symbol) -> None:
+        """Consume one raw symbol; the same as ``extend((sym,))``."""
+        self.extend((sym,))
+
+    def extend(self, symbols: Iterable[Symbol]) -> None:
+        """Consume raw symbols in order, updating the heap for each longer text.
+
+        Each symbol is prev-encoded, then new nodes are hung along suffix
+        pointers from the active node until one already has the child. The
+        loop keeps the builder's state in locals and writes it back on the
+        way out, so an undeclared symbol raises UnknownSymbol naming its
+        position with the symbols before it consumed and nothing of its own
+        recorded.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
-        try:
-            is_param = self.alphabet._is_param[sym]
-        except KeyError:
-            raise UnknownSymbol(sym, self._k + 1) from None
-        self._k += 1
-        label = sym
-        if is_param:
-            label = self._k - self._last.get(sym, self._k)
-            self._last[sym] = self._k
-        self._symbols.append(sym)
-        self._prev.append(label)
-
-        parents = self._parents
-        labels = self._labels
+        is_param_of = self.alphabet._is_param
+        last_at = self._last
+        add_symbol = self._symbols.append
+        add_label = self._prev.append
+        add_parent = self._parents.append
+        add_edge_label = self._labels.append
+        add_depth = self._depths.append
+        add_children = self._children.append
+        add_suffix = self._suffixes.append
         depths = self._depths
         children = self._children
         suffixes = self._suffixes
-
-        cur = self._active_node
+        k = self._k
+        node = self._active_node
         spos = self._active_pos
-        is_offset = type(label) is int
-        c = 0 if is_offset and label > depths[cur] else label
-        last = -1
-        while True:
-            if cur == BOTTOM:
-                nxt = ROOT  # the virtual node accepts every label
-                break
-            kids = children[cur]
-            nxt = None if kids is None else kids.get(c)
-            if nxt is not None:
-                break
-            new = len(parents)  # == spos: node v holds primary position v
-            parents.append(cur)
-            labels.append(c)
-            depths.append(depths[cur] + 1)
-            children.append(None)
-            suffixes.append(ROOT)  # placeholder, always patched below
-            if kids is None:
-                children[cur] = {c: new}
-            else:
-                kids[c] = new
-            if last >= 0:
-                suffixes[last] = new
-            last = new
-            cur = suffixes[cur]
-            self.suffix_steps += 1
-            if is_offset:
-                d = depths[cur] if cur != BOTTOM else -1
-                c = 0 if label > d else label
-            spos += 1
-        if last >= 0:
-            suffixes[last] = nxt
-        self._active_node = nxt
-        self._active_pos = spos
+        try:
+            for sym in symbols:
+                try:
+                    is_param = is_param_of[sym]
+                except KeyError:
+                    raise UnknownSymbol(sym, k + 1) from None
+                k += 1
+                label = sym
+                if is_param:
+                    label = k - last_at.get(sym, k)
+                    last_at[sym] = k
+                add_symbol(sym)
+                add_label(label)
 
-    def extend(self, symbols) -> None:
-        """Push every raw symbol of an iterable (e.g. a PString)."""
-        for s in symbols:
-            self.push(s)
+                # The node created for position spos gets id spos, and its
+                # suffix pointer is the next node created in this chain, or
+                # the node that ends the chain: each suffix entry is appended
+                # one node late. d is cur's depth; -1 is the virtual node,
+                # which accepts every label.
+                first = spos
+                cur = node
+                d = depths[cur]
+                c = 0 if is_param and label > d else label
+                while d >= 0:
+                    kids = children[cur]
+                    if kids is None:
+                        children[cur] = {c: spos}
+                    else:
+                        nxt = kids.get(c)
+                        if nxt is not None:
+                            break
+                        kids[c] = spos
+                    add_parent(cur)
+                    add_edge_label(c)
+                    add_depth(d + 1)
+                    add_children(None)
+                    if spos > first:
+                        add_suffix(spos)
+                    spos += 1
+                    cur = suffixes[cur]
+                    d -= 1
+                    if is_param and label > d:
+                        c = 0
+                else:
+                    nxt = ROOT
+                if spos > first:
+                    add_suffix(nxt)
+                node = nxt
+        finally:
+            self._k = k
+            self._active_node = node
+            self._active_pos = spos
 
     def finalize(self) -> PPHIndex:
         """Assign the pending secondary positions and freeze the arena.
@@ -296,7 +316,6 @@ class Builder:
         dup._active_pos = self._active_pos
         dup._k = self._k
         dup._done = False
-        dup.suffix_steps = self.suffix_steps
         return dup.finalize()
 
 

@@ -38,13 +38,15 @@ LINES = 7  # magic, mode, constants, parameters, n, text, checksum
 class IndexBundle:
     """Everything one index file describes: the index, its augmentation, the mode.
 
-    ``wildcard`` marks a token-mode index built with ``parameters *``: the
-    file stores the wildcard itself, and queries treat every non-constant
-    pattern token as a parameter.
+    ``dumps`` never reads ``augmentation``, so a bundle that is only saved
+    may carry None there; ``loads`` always computes it. ``wildcard`` marks a
+    token-mode index built with ``parameters *``: the file stores the
+    wildcard itself, and queries treat every non-constant pattern token as a
+    parameter.
     """
 
     index: PPHIndex
-    augmentation: Augmentation
+    augmentation: Augmentation | None
     mode: str
     wildcard: bool = False
 
@@ -150,10 +152,15 @@ def load(path) -> IndexBundle:
     return loads(data)
 
 
-def read_utf8(path) -> str:
-    """Contents of a UTF-8 text file; InputEncodingError names a file that is not."""
+def read_utf8(path, newline: str | None = None) -> str:
+    """Contents of a UTF-8 text file; InputEncodingError names a file that is not.
+
+    ``newline`` is as for ``open``: None turns every line end into "\n",
+    "" keeps the file's characters as they are.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise InputEncodingError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

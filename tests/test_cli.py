@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from ppheap.cli import main
@@ -81,6 +83,52 @@ class TestBuild:
             assert code == 0 and "n=10" in out
             blobs.append(out_path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_lone_cr_in_char_text_is_named(self, workspace, capsys):
+        (workspace / "cr.txt").write_bytes(b"uv\rau\n")
+        code, _, err = run([
+            "build", "--text", str(workspace / "cr.txt"),
+            "--alphabet", str(workspace / "alphabet.txt"),
+            "--out", str(workspace / "cr.pph")], capsys)
+        assert code == 1
+        assert "'\\r'" in err and "position 3" in err
+
+    def test_crlf_alphabet_file(self, workspace, capsys):
+        (workspace / "crlf-alphabet.txt").write_bytes(b"constants ab\r\nparameters uvxy\r\n")
+        blobs = []
+        for name in ("alphabet.txt", "crlf-alphabet.txt"):
+            out_path = workspace / f"{name}.pph"
+            code, out, _ = run([
+                "build", "--text", str(workspace / "text.txt"),
+                "--alphabet", str(workspace / name),
+                "--mode", "char", "--out", str(out_path)], capsys)
+            assert code == 0 and "n=10" in out
+            blobs.append(out_path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_build_computes_no_augmentation(self, workspace, capsys, monkeypatch):
+        """build writes only the alphabet and the text, so it needs no reach
+        pointers or preorder intervals; a later query computes them."""
+        argv = ["build", "--text", str(workspace / "text.txt"),
+                "--alphabet", str(workspace / "alphabet.txt"), "--out"]
+        code, _, _ = run(argv + [str(workspace / "plain.pph")], capsys)
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("build computed the augmentation")
+
+        with monkeypatch.context() as m:
+            # the package exports the function augment under the module's name
+            module = importlib.import_module("ppheap.augment")
+            m.setattr(module, "compute_mrp", refuse)
+            m.setattr(module, "preorder_intervals", refuse)
+            code, out, _ = run(argv + [str(workspace / "lean.pph")], capsys)
+        assert code == 0 and "n=10 nodes=10 double=1 depth=3" in out
+        lean = workspace / "lean.pph"
+        assert lean.read_bytes() == (workspace / "plain.pph").read_bytes()
+        code, out, _ = run(
+            ["query", "--index", str(lean), "--pattern", "xayby", "--verify"], capsys)
+        assert code == 0 and out == "2\n6\n"
 
     def test_non_utf8_text_exits_2(self, workspace, capsys):
         (workspace / "bom16.txt").write_bytes(b"\xff\xfeu\x00v\x00")

@@ -85,6 +85,25 @@ class TestBuilderBasics:
         assert (info.value.symbol, info.value.position) == ("q", 2)
         assert b.size == 1
 
+    def test_extend_stops_at_undeclared_symbol(self, ab_uvxy):
+        """The prefix before an undeclared symbol stays consumed, nothing after."""
+        b = Builder(ab_uvxy)
+        with pytest.raises(UnknownSymbol) as info:
+            b.extend(iter("uvauzbv"))
+        assert (info.value.symbol, info.value.position) == ("z", 5)
+        assert b.size == 4
+        snap = b.snapshot()
+        audit_index(snap)
+        assert trees_equal(snap, naive_pph(parse_pstring("uvau", ab_uvxy)))
+        b.push("b")
+        b.extend("uavbv")
+        idx = b.finalize()
+        audit_index(idx)
+        text = parse_pstring("uvaubuavbv", ab_uvxy)
+        assert idx.text == text
+        assert idx.prev_text == prev_encode(text)
+        assert trees_equal(idx, naive_pph(text))
+
 
 class TestInlineEncoding:
     """push() prev-encodes each symbol as it arrives."""
@@ -259,7 +278,8 @@ class TestInvariants:
             b = Builder(ab_uvxy)
             b.extend(parse_pstring(raw, ab_uvxy))
             assert b.suffix_steps <= 2 * max(1, len(raw))
-            b.finalize()
+            # each suffix-pointer step hangs exactly one new node
+            assert b.suffix_steps == b.finalize().node_count - 1
 
 
 class TestDegenerate:
