@@ -16,7 +16,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 
-from .errors import InvalidNode
 from .heap import ROOT, PPHIndex
 
 
@@ -24,8 +23,8 @@ class Augmentation:
     """Per-position reach pointers plus preorder intervals for one index.
 
     ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` and
-    ``subtree_size`` are indexed by node id. All three are ``array('i')``. ``secondary_ranks`` and
-    ``secondary_positions`` list the secondary positions in the preorder of
+    ``subtree_size`` are indexed by node id. All three are ``array('i')``.
+    ``secondary_ranks`` and ``secondary_positions`` list the secondary positions in the preorder of
     their nodes, beside those nodes' preorder numbers, so a subtree's
     secondaries are one bisect range. Immutable once built; share it freely
     together with its index.
@@ -44,22 +43,6 @@ class Augmentation:
                       key=lambda s: pre_enter[mrp[s - 1]])
         self.secondary_ranks = array("i", [pre_enter[mrp[s - 1]] for s in secs])
         self.secondary_positions = array("i", secs)
-
-    def reach(self, i: int) -> int:
-        """Reach node of 1-based text position i."""
-        if not 1 <= i <= len(self.mrp):
-            raise InvalidNode(f"position {i}")
-        return self.mrp[i - 1]
-
-    def is_descendant(self, u: int, v: int) -> bool:
-        """True when u lies in v's subtree, v itself included. O(1)."""
-        enter = self.pre_enter
-        if not 0 <= u < len(enter):
-            raise InvalidNode(u)
-        if not 0 <= v < len(enter):
-            raise InvalidNode(v)
-        ev = enter[v]
-        return ev <= enter[u] < ev + self.subtree_size[v]
 
 
 def compute_mrp(idx: PPHIndex) -> array:
@@ -133,10 +116,3 @@ def subtree_run(idx: PPHIndex, aug: Augmentation, u: int) -> list[int]:
     out += aug.secondary_positions[bisect_left(ranks, lo):bisect_left(ranks, hi)]
     return out
 
-
-def subtree_positions(idx: PPHIndex, aug: Augmentation, u: int) -> list[int]:
-    """All primary and secondary positions stored in u's subtree, ascending."""
-    idx._check(u)
-    out = subtree_run(idx, aug, u)
-    out.sort()
-    return out

@@ -64,9 +64,6 @@ class Alphabet:
         self._is_param = dict.fromkeys(self.constants, False)
         self._is_param.update(dict.fromkeys(self.parameters, True))
 
-    def is_constant(self, sym: Symbol) -> bool:
-        return sym in self._const_rank
-
     def is_parameter(self, sym: Symbol) -> bool:
         return self._is_param.get(sym, False)
 

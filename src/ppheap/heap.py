@@ -11,6 +11,11 @@ pointers from the active node, where the suffix pointer of the node for
 some window links to the node for that window with its first symbol
 dropped (labels re-normalized for the shorter window).
 
+No edge label is stored. Node v at depth d is created while text symbol
+v + d - 1 is read, at parent depth d - 1, so its edge label is that
+symbol's prev label re-normalized to a window of length d - 1; the
+children maps are keyed by these labels.
+
 Node ids are dense integers into an arena; the root is always id 0. A
 virtual auxiliary node sits above the root and accepts every label, which
 lets the update loop terminate without special cases.
@@ -40,10 +45,11 @@ class PPHIndex:
 
     ``text`` is the indexed p-string (raw symbols plus the alphabet) and
     ``prev_text`` its prev-encoding. The arena is held as parallel per-node
-    sequences indexed by node id: ``parents`` (-1 for the root), ``labels``
-    (incoming edge label, None for the root), ``depths``, ``children`` (dict
-    label -> child id, or None for a leaf), ``suffixes`` (BOTTOM for the
-    root); ``parents``, ``depths`` and ``suffixes`` are ``array('i')``.
+    sequences indexed by node id: ``parents`` (-1 for the root),
+    ``depths``, ``children`` (dict label -> child id, or None for a leaf),
+    ``suffixes`` (BOTTOM for the root); ``parents``, ``depths`` and
+    ``suffixes`` are ``array('i')``. A node's incoming edge label is not
+    stored: ``edge_label`` derives it from ``prev_text`` and the depth.
     Every non-root node v holds primary position v. ``secondaries`` maps
     the node ids of double nodes to their secondary position. ``preorder``
     lists the node ids in one preorder, root first, so every subtree is one
@@ -52,16 +58,15 @@ class PPHIndex:
     read-only; concurrent queries over it are safe.
     """
 
-    __slots__ = ("alphabet", "text", "prev_text", "parents", "labels",
-                 "depths", "children", "secondaries", "suffixes", "preorder")
+    __slots__ = ("alphabet", "text", "prev_text", "parents", "depths",
+                 "children", "secondaries", "suffixes", "preorder")
 
-    def __init__(self, alphabet, text, prev_text, parents, labels, depths,
+    def __init__(self, alphabet, text, prev_text, parents, depths,
                  children, secondaries, suffixes, preorder):
         self.alphabet: Alphabet = alphabet
         self.text: PString = text
         self.prev_text: tuple[PrevLabel, ...] = prev_text
         self.parents: array = parents
-        self.labels: list[Optional[PrevLabel]] = labels
         self.depths: array = depths
         self.children: list[Optional[dict]] = children
         self.secondaries: dict[int, int] = secondaries
@@ -80,11 +85,10 @@ class PPHIndex:
         if not 0 <= v < len(self.parents):
             raise InvalidNode(v)
 
-    def child(self, v: int, label: PrevLabel) -> Optional[int]:
-        """Child of v under the given label, or None when absent."""
-        self._check(v)
-        kids = self.children[v]
-        return None if kids is None else kids.get(label)
+    def edge_label(self, v: int) -> PrevLabel:
+        """Label of the edge into non-root node v, derived from prev_text."""
+        d = self.depths[v]
+        return norm(self.prev_text[v + d - 2], d - 1)
 
     def children_items(self, v: int) -> list[tuple[PrevLabel, int]]:
         """(label, child) pairs of v in the deterministic label order."""
@@ -109,20 +113,10 @@ class PPHIndex:
         self._check(v)
         out = []
         while v != ROOT:
-            out.append(self.labels[v])
+            out.append(self.edge_label(v))
             v = self.parents[v]
         out.reverse()
         return tuple(out)
-
-    def node_at(self, prev: tuple) -> Optional[int]:
-        """Node reached by walking the given labels from the root, or None."""
-        v = ROOT
-        for c in prev:
-            kids = self.children[v]
-            v = None if kids is None else kids.get(c)
-            if v is None:
-                return None
-        return v
 
     def stats(self) -> IndexStats:
         return IndexStats(
@@ -146,7 +140,7 @@ class Builder:
     """
 
     __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
-                 "_labels", "_depths", "_children", "_suffixes",
+                 "_depths", "_children", "_suffixes",
                  "_active_node", "_active_pos", "_k", "_done")
 
     def __init__(self, alphabet: Alphabet):
@@ -156,7 +150,6 @@ class Builder:
         self._prev: list[PrevLabel] = []
         # arena with the root node only
         self._parents: list[int] = [-1]
-        self._labels: list[Optional[PrevLabel]] = [None]
         self._depths: list[int] = [0]
         self._children: list[Optional[dict]] = [None]
         self._suffixes: list[int] = [BOTTOM]
@@ -169,14 +162,6 @@ class Builder:
     def size(self) -> int:
         """Number of symbols consumed so far."""
         return self._k
-
-    @property
-    def active_position(self) -> int:
-        return self._active_pos
-
-    @property
-    def active_node(self) -> int:
-        return self._active_node
 
     @property
     def suffix_steps(self) -> int:
@@ -204,7 +189,6 @@ class Builder:
         add_symbol = self._symbols.append
         add_label = self._prev.append
         add_parent = self._parents.append
-        add_edge_label = self._labels.append
         add_depth = self._depths.append
         add_children = self._children.append
         add_suffix = self._suffixes.append
@@ -247,7 +231,6 @@ class Builder:
                             break
                         kids[c] = spos
                     add_parent(cur)
-                    add_edge_label(c)
                     add_depth(d + 1)
                     add_children(None)
                     if spos > first:
@@ -296,7 +279,7 @@ class Builder:
                 stack.extend(kids.values())
         text = PString(tuple(self._symbols), self.alphabet)
         return PPHIndex(self.alphabet, text, tuple(self._prev),
-                        array("i", self._parents), self._labels,
+                        array("i", self._parents),
                         array("i", self._depths), children, secondaries,
                         array("i", suffixes), preorder)
 
@@ -308,7 +291,6 @@ class Builder:
         dup._symbols = list(self._symbols)
         dup._prev = list(self._prev)
         dup._parents = list(self._parents)
-        dup._labels = list(self._labels)
         dup._depths = list(self._depths)
         dup._children = [dict(d) if d is not None else None for d in self._children]
         dup._suffixes = list(self._suffixes)
@@ -329,7 +311,8 @@ def build_index(text: PString) -> PPHIndex:
 def audit_index(idx: PPHIndex) -> None:
     """Verify the structural invariants; raise StructuralError on violation.
 
-    Covers arena coherence (parent/child/label/depth agreement), the node
+    Covers arena coherence (parent/child/depth agreement, and every node
+    registered at its parent under its derived edge label), the node
     count bound, the exactly-once position partition, the secondary suffix
     interval, primary < secondary at double nodes, the preorder (a
     permutation from the root with every subtree one run), the suffix-pointer
@@ -344,7 +327,7 @@ def audit_index(idx: PPHIndex) -> None:
 
     if count > n + 1:
         problems.append(f"node count {count} exceeds n+1 = {n + 1}")
-    if idx.depths[ROOT] != 0 or idx.parents[ROOT] != -1 or idx.labels[ROOT] is not None:
+    if idx.depths[ROOT] != 0 or idx.parents[ROOT] != -1:
         problems.append("malformed root node")
     if idx.suffixes[ROOT] != BOTTOM:
         problems.append("root suffix pointer must be the virtual node")
@@ -354,14 +337,21 @@ def audit_index(idx: PPHIndex) -> None:
         if not 0 <= p < count:
             problems.append(f"node {v}: parent {p} out of range")
             continue
-        if idx.depths[v] != idx.depths[p] + 1:
-            problems.append(f"node {v}: depth {idx.depths[v]} != depth(parent)+1")
-        kids = idx.children[p]
-        if kids is None or kids.get(idx.labels[v]) != v:
-            problems.append(f"node {v}: not registered under its label at parent {p}")
+        d = idx.depths[v]
+        if d != idx.depths[p] + 1:
+            problems.append(f"node {v}: depth {d} != depth(parent)+1")
+        elif v + d - 1 > n:
+            problems.append(f"node {v}: depth {d} runs past the end of the text")
+        else:
+            kids = idx.children[p]
+            if kids is None or kids.get(idx.edge_label(v)) != v:
+                problems.append(f"node {v}: not registered under its label at parent {p}")
     edge_total = sum(len(d) for d in idx.children if d)
     if edge_total != count - 1:
         problems.append(f"children maps hold {edge_total} edges for {count} nodes")
+    if problems:
+        # the checks below walk parent chains and derive labels from depths
+        raise StructuralError("; ".join(problems))
 
     # position partition: every position 1..n stored exactly once, where
     # node v holds primary position v

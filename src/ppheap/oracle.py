@@ -86,7 +86,7 @@ def naive_mrp(idx: PPHIndex, i: int) -> int:
     """Reach node of position i by walking the fresh suffix encoding from the root."""
     v = ROOT
     for c in prev_encode(idx.text[i - 1:]):
-        nxt = idx.child(v, c)
+        nxt = (idx.children[v] or {}).get(c)
         if nxt is None:
             break
         v = nxt

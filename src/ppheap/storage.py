@@ -3,8 +3,8 @@
 An index file holds only what cannot be recomputed: the magic line, the
 mode, the alphabet, the text length, the text, and a SHA-256 checksum of
 every line before it. The heap and its augmentation are derived data: load
-rebuilds them from the text in linear time, which costs less than parsing a
-stored copy.
+rebuilds the heap from the text in linear time, which costs less than
+parsing a stored copy, and the augmentation is computed on first use.
 Every load checks the header, the checksum, the alphabet and the text
 against its stated length, so a damaged file is rejected with
 IndexFormatError instead of answering queries wrongly. Writing the same
@@ -15,7 +15,6 @@ reproduces the input exactly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import Augmentation, augment
@@ -34,21 +33,30 @@ MAGIC = "PPH/2"
 LINES = 7  # magic, mode, constants, parameters, n, text, checksum
 
 
-@dataclass(slots=True)
 class IndexBundle:
     """Everything one index file describes: the index, its augmentation, the mode.
 
-    ``dumps`` never reads ``augmentation``, so a bundle that is only saved
-    may carry None there; ``loads`` always computes it. ``wildcard`` marks a
-    token-mode index built with ``parameters *``: the file stores the
-    wildcard itself, and queries treat every non-constant pattern token as a
-    parameter.
+    ``augmentation`` may be given as None: it is then computed from the
+    index on first read, so ``dumps`` and the ``stats`` command, which never
+    read it, never pay for it. ``wildcard`` marks a token-mode index built with
+    ``parameters *``: the file stores the wildcard itself, and queries treat
+    every non-constant pattern token as a parameter.
     """
 
-    index: PPHIndex
-    augmentation: Augmentation | None
-    mode: str
-    wildcard: bool = False
+    __slots__ = ("index", "_augmentation", "mode", "wildcard")
+
+    def __init__(self, index: PPHIndex, augmentation: Augmentation | None,
+                 mode: str, wildcard: bool = False):
+        self.index = index
+        self._augmentation = augmentation
+        self.mode = mode
+        self.wildcard = wildcard
+
+    @property
+    def augmentation(self) -> Augmentation:
+        if self._augmentation is None:
+            self._augmentation = augment(self.index)
+        return self._augmentation
 
 
 def _check_symbols(alphabet: Alphabet, mode: str) -> None:
@@ -137,7 +145,7 @@ def loads(data: str) -> IndexBundle:
     except PPHeapError as exc:
         raise IndexFormatError(f"text does not conform to alphabet: {exc}") from None
     idx = build_index(text)
-    return IndexBundle(idx, augment(idx), mode, wildcard)
+    return IndexBundle(idx, None, mode, wildcard)
 
 
 def save(bundle: IndexBundle, path) -> None:

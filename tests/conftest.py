@@ -6,17 +6,9 @@ import random
 
 import pytest
 
-from ppheap import (
-    Alphabet,
-    Builder,
-    PPHIndex,
-    PString,
-    audit_index,
-    augment,
-    make_alphabet,
-    parse_pstring,
-)
-from ppheap.augment import Augmentation
+from ppheap.augment import Augmentation, augment
+from ppheap.coding import Alphabet, PString, make_alphabet, parse_pstring
+from ppheap.heap import ROOT, Builder, PPHIndex, audit_index
 
 
 @pytest.fixture
@@ -56,3 +48,13 @@ def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
 
 def pstring(raw, alphabet: Alphabet) -> PString:
     return parse_pstring(raw, alphabet)
+
+
+def walk(idx: PPHIndex, labels) -> int | None:
+    """Node reached by following the given edge labels from the root, or None."""
+    v = ROOT
+    for c in labels:
+        v = (idx.children[v] or {}).get(c)
+        if v is None:
+            return None
+    return v

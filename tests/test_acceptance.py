@@ -10,16 +10,10 @@ import random
 import time
 from contextlib import contextmanager
 
-from ppheap import (
-    augment,
-    audit_index,
-    build_index,
-    make_alphabet,
-    match_pattern,
-    norm,
-    parse_pstring,
-    prev_encode,
-)
+from ppheap.augment import augment
+from ppheap.coding import make_alphabet, norm, parse_pstring, prev_encode
+from ppheap.heap import audit_index, build_index
+from ppheap.matching import match_pattern
 from ppheap.oracle import (
     naive_match,
     naive_mrp,

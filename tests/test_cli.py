@@ -6,7 +6,11 @@ import importlib
 
 import pytest
 
+from ppheap import storage
+from ppheap.augment import augment
 from ppheap.cli import main
+from ppheap.coding import make_alphabet, parse_pstring
+from ppheap.oracle import naive_match
 
 # an index written by the previous file format, which this version refuses
 PPH1_INDEX = ("PPH/1\nmode char\nconstants a\nparameters xy\nn 3\nxax\nnodes 3\n"
@@ -24,6 +28,15 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def build_demo(workspace, capsys):
+    """Index the workspace text; return the index file's path."""
+    out_path = workspace / "t.pph"
+    run(["build", "--text", str(workspace / "text.txt"),
+         "--alphabet", str(workspace / "alphabet.txt"),
+         "--out", str(out_path)], capsys)
+    return out_path
 
 
 class TestBuild:
@@ -162,22 +175,15 @@ class TestBuild:
 
 
 class TestQuery:
-    def build(self, workspace, capsys):
-        out_path = workspace / "t.pph"
-        run(["build", "--text", str(workspace / "text.txt"),
-             "--alphabet", str(workspace / "alphabet.txt"),
-             "--out", str(out_path)], capsys)
-        return out_path
-
     def test_fixture_positions(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         code, out, _ = run(
             ["query", "--index", str(index), "--pattern", "xayby"], capsys)
         assert code == 0
         assert out == "2\n6\n"
 
     def test_verify_agrees(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         code, out, _ = run(
             ["query", "--index", str(index), "--pattern", "xayby", "--verify"],
             capsys)
@@ -185,26 +191,26 @@ class TestQuery:
         assert out == "2\n6\n"
 
     def test_unknown_pattern_symbol_exits_1(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         code, _, err = run(
             ["query", "--index", str(index), "--pattern", "xz"], capsys)
         assert code == 1
         assert "bad pattern" in err
 
     def test_empty_pattern_exits_1(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         code, _, _ = run(["query", "--index", str(index), "--pattern", ""], capsys)
         assert code == 1
 
     def test_no_occurrences_prints_nothing(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         code, out, _ = run(
             ["query", "--index", str(index), "--pattern", "aa"], capsys)
         assert code == 0
         assert out == ""
 
     def test_corrupt_index_exits_2(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         magic, rest = index.read_text().split("\n", 1)
         assert magic != "PPH/9"
         index.write_text("PPH/9\n" + rest)
@@ -223,7 +229,7 @@ class TestQuery:
         assert "PPH/1" in err and "PPH/2" in err and "rebuild" in err
 
     def test_garbled_text_exits_2(self, workspace, capsys):
-        index = self.build(workspace, capsys)
+        index = build_demo(workspace, capsys)
         index.write_text(index.read_text().replace("uvaubuavbv", "uvaubuavbu"))
         code, out, err = run(
             ["query", "--index", str(index), "--pattern", "xayby"], capsys)
@@ -253,6 +259,61 @@ class TestQuery:
             capsys)
         assert code == 0
         assert out == "3\n4\n5\n11\n"
+
+
+    def test_pattern_with_leading_dash(self, tmp_path, capsys):
+        """A pattern that starts with '-' is passed as --pattern=-x."""
+        (tmp_path / "alpha.txt").write_text("constants a-\nparameters xy\n")
+        (tmp_path / "t.txt").write_text("x-yax-x-ya-y\n")
+        run(["build", "--text", str(tmp_path / "t.txt"),
+             "--alphabet", str(tmp_path / "alpha.txt"),
+             "--out", str(tmp_path / "t.pph")], capsys)
+        code, out, _ = run(["query", "--index", str(tmp_path / "t.pph"),
+                            "--pattern=-x", "--verify"], capsys)
+        alpha = make_alphabet("a-", "xy")
+        want = naive_match(parse_pstring("x-yax-x-ya-y", alpha), parse_pstring("-x", alpha))
+        assert code == 0
+        assert out.split() == [str(i) for i in want] and want
+        # as a separate argument, argparse reads it as an option
+        with pytest.raises(SystemExit) as info:
+            main(["query", "--index", str(tmp_path / "t.pph"), "--pattern", "-x"])
+        assert info.value.code == 2
+
+
+class TestLazyAugmentation:
+    """Loading rebuilds the heap only; the augmentation is computed on first use."""
+
+    def test_stats_computes_no_augmentation(self, workspace, capsys, monkeypatch):
+        index = build_demo(workspace, capsys)
+
+        def refuse(idx):
+            raise AssertionError("stats computed the augmentation")
+
+        monkeypatch.setattr(storage, "augment", refuse)
+        code, out, _ = run(["stats", "--index", str(index)], capsys)
+        assert code == 0
+        assert out == "n=10\nnodes=10\ndouble=1\ndepth=3\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--pattern", "xayby", "--verify"],
+        ["export-dot", "--out", "t.dot"],
+    ], ids=["query", "export-dot"])
+    def test_readers_compute_it_once(self, workspace, capsys, monkeypatch, argv):
+        index = build_demo(workspace, capsys)
+        calls = []
+
+        def counted(idx):
+            calls.append(idx)
+            return augment(idx)
+
+        monkeypatch.setattr(storage, "augment", counted)
+        monkeypatch.chdir(workspace)
+        code, out, _ = run(argv + ["--index", str(index)], capsys)
+        assert code == 0 and len(calls) == 1
+        if argv[0] == "query":
+            assert out == "2\n6\n"
+        else:
+            assert "style=bold" in (workspace / "t.dot").read_text()
 
 
 class TestStats:

@@ -9,21 +9,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from ppheap import (
-    BOTTOM,
-    Builder,
-    InvalidNode,
-    ROOT,
-    UnknownSymbol,
-    audit_index,
-    augment,
-    build_index,
-    make_alphabet,
-    match_pattern,
-    norm,
-    parse_pstring,
-    prev_encode,
-)
+from ppheap.augment import augment
+from ppheap.coding import make_alphabet, norm, parse_pstring, prev_encode
+from ppheap.errors import InvalidNode, StructuralError, UnknownSymbol
+from ppheap.heap import BOTTOM, ROOT, Builder, audit_index, build_index
+from ppheap.matching import match_pattern
 from ppheap.oracle import (
     naive_match,
     naive_mrp,
@@ -32,15 +22,14 @@ from ppheap.oracle import (
     trees_equal,
 )
 
-from conftest import build_audited, random_text
+from conftest import build_audited, random_text, walk
 
 
 class TestBuilderBasics:
     def test_fresh_builder(self, a_xy):
         b = Builder(a_xy)
         assert b.size == 0
-        assert b.active_position == 1
-        assert b.active_node == ROOT
+        assert b.snapshot().node_count == 1  # active position 1: nothing placed yet
 
     def test_empty_text(self, a_xy):
         idx = Builder(a_xy).finalize()
@@ -52,7 +41,7 @@ class TestBuilderBasics:
     def test_single_parameter(self, a_xy):
         idx = build_audited("x", a_xy)
         assert idx.stats() == (1, 2, 0, 1)
-        v = idx.child(ROOT, 0)
+        v = walk(idx, (0,))
         assert v is not None
         assert idx.positions_at(v) == [1]
         assert v not in idx.secondaries
@@ -62,14 +51,14 @@ class TestBuilderBasics:
         # positions, no second node
         idx = build_audited("xx", a_xy)
         assert idx.node_count == 2
-        v = idx.child(ROOT, 0)
+        v = walk(idx, (0,))
         assert idx.positions_at(v) == [1, 2]
         assert idx.secondaries[v] == 2
         assert trees_equal(idx, naive_pph(idx.text))
 
     def test_new_constant_becomes_root_child(self, a_xy):
         idx = build_audited("xxa", a_xy)
-        assert idx.child(ROOT, "a") is not None
+        assert walk(idx, ("a",)) is not None
 
     def test_push_after_finalize_rejected(self, a_xy):
         b = Builder(a_xy)
@@ -142,13 +131,13 @@ class TestActivePosition:
         """Adding one symbol turns stuck pending positions into primaries."""
         b = Builder(a_xy)
         b.extend(parse_pstring("xaxyyxyx", a_xy))
-        assert b.active_position == 6
         before = b.snapshot()
+        assert before.node_count == 6  # the active position
         assert sorted(before.secondaries.values()) == [6, 7, 8]
 
         b.push("x")
-        assert b.active_position == 8
         after = b.snapshot()
+        assert after.node_count == 8
         assert sorted(after.secondaries.values()) == [8, 9]
         # 6 and 7 now sit at their own nodes as primaries
         primaries = {after.positions_at(v)[0] for v in range(1, after.node_count)}
@@ -164,7 +153,7 @@ class TestActivePosition:
                 b.push(s)
                 snap = b.snapshot()
                 stored = {snap.positions_at(v)[0] for v in range(1, snap.node_count)}
-                assert stored == set(range(1, b.active_position))
+                assert stored == set(range(1, snap.node_count))
 
 
 class TestOnlineOfflineAgreement:
@@ -202,24 +191,24 @@ class TestOnlineOfflineAgreement:
 class TestLookups:
     def test_root_child_present(self, ab_uvxy):
         idx = build_audited("uvuvauuvb", ab_uvxy)
-        assert idx.child(ROOT, 0) is not None
+        assert walk(idx, (0,)) is not None
 
     def test_absent_label(self):
         alpha = make_alphabet(list("abc"), list("uv"))
         idx = build_audited("uvaubuavbv", alpha)
-        assert idx.child(ROOT, "c") is None  # c never occurs in the text
-        assert idx.child(ROOT, 99) is None
+        assert walk(idx, ("c",)) is None  # c never occurs in the text
+        assert walk(idx, (99,)) is None
 
     def test_chained_lookup(self, a_xy):
         idx = build_audited("xaxyxyxyyaxyxy", a_xy)
-        v = idx.node_at((0, 0, 2, 2))
+        v = walk(idx, (0, 0, 2, 2))
         assert v is not None
         assert idx.path_label(v) == (0, 0, 2, 2)
 
     def test_invalid_node(self, a_xy):
         idx = build_audited("x", a_xy)
         with pytest.raises(InvalidNode):
-            idx.child(99, 0)
+            idx.children_items(99)
         with pytest.raises(InvalidNode):
             idx.path_label(-3)
 
@@ -231,7 +220,7 @@ class TestPathLabels:
 
     def test_depth_one(self, a_xy):
         idx = build_audited("x", a_xy)
-        v = idx.child(ROOT, 0)
+        v = walk(idx, (0,))
         assert idx.path_label(v) == (0,)
 
     def test_secondary_spans_whole_suffix(self, ab_uvxy):
@@ -269,7 +258,7 @@ class TestInvariants:
             for v in range(1, idx.node_count):
                 x = idx.path_label(v)
                 y = tuple(norm(x[k + 1], k) for k in range(len(x) - 1))
-                assert idx.node_at(y) == idx.suffixes[v]
+                assert walk(idx, y) == idx.suffixes[v]
 
     def test_suffix_traversal_bound(self, ab_uvxy):
         rng = random.Random(26)
@@ -280,6 +269,65 @@ class TestInvariants:
             assert b.suffix_steps <= 2 * max(1, len(raw))
             # each suffix-pointer step hangs exactly one new node
             assert b.suffix_steps == b.finalize().node_count - 1
+
+
+def _rekey_child(idx):
+    kids = idx.children[walk(idx, (0, "b"))]
+    (v,) = kids.values()
+    kids.clear()
+    kids["a"] = v
+
+
+def _swap_siblings(idx):
+    kids = idx.children[walk(idx, (0,))]
+    kids["a"], kids["b"] = kids["b"], kids["a"]
+
+
+def _suffix_to_wrong_depth(idx):
+    v = walk(idx, (0, "a", 0))
+    assert idx.depths[idx.suffixes[v]] == 2
+    idx.suffixes[v] = walk(idx, (0,))
+
+
+def _shift_secondary(idx):
+    ((v, spos),) = idx.secondaries.items()
+    idx.secondaries[v] = spos - 1
+
+
+def _swap_preorder(idx):
+    order = idx.preorder
+    i, j = order.index(walk(idx, (0,))), order.index(walk(idx, (0, "a")))
+    order[i], order[j] = order[j], order[i]
+
+
+def _deepen_all(idx):
+    for v in range(1, idx.node_count):
+        idx.depths[v] += 1
+
+
+def _change_last_label(idx):
+    assert idx.prev_text[-1] == "b"
+    idx.prev_text = idx.prev_text[:-1] + ("a",)
+
+
+class TestAuditRejects:
+    """Each damage to a freshly built index is reported as a StructuralError."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (_rekey_child, "not registered under its label"),
+        (_swap_siblings, "not registered under its label"),
+        (_suffix_to_wrong_depth, "suffix pointer does not drop depth by one"),
+        (_shift_secondary, "never stored"),
+        (_swap_preorder, "preorder run not inside its parent's run"),
+        (_change_last_label, "not registered under its label"),
+        (_deepen_all, "runs past the end of the text"),
+    ], ids=["rekeyed-child", "swapped-siblings", "suffix-depth", "secondary-shift",
+            "preorder-swap", "last-prev-label", "deepened"])
+    def test_damage_detected(self, ab_uvxy, damage, message):
+        idx = build_audited("uvaubuavbvuvvuab", ab_uvxy)
+        damage(idx)
+        with pytest.raises(StructuralError, match=message):
+            audit_index(idx)
 
 
 class TestDegenerate:

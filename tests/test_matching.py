@@ -9,18 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppheap import (
-    EmptyPattern,
-    ROOT,
-    make_alphabet,
-    match_pattern,
-    parse_pstring,
-    prev_encode,
-    segment_walk,
-)
+from ppheap.coding import make_alphabet, parse_pstring, prev_encode
+from ppheap.errors import EmptyPattern
+from ppheap.heap import ROOT
+from ppheap.matching import match_pattern, segment_walk
 from ppheap.oracle import naive_match
 
-from conftest import build_augmented, random_text
+from conftest import build_augmented, random_text, walk
 
 
 class TestSegmentWalk:
@@ -28,26 +23,26 @@ class TestSegmentWalk:
         idx, _ = build_augmented("xaxyxyxyyaxyxy", a_xy)
         prev_p = prev_encode(parse_pstring("axyx", a_xy))
         assert prev_p == ("a", 0, 0, 2)
-        walk = segment_walk(idx, prev_p, 1)
-        assert walk.end_node == idx.node_at(("a", 0))
-        assert walk.consumed_through == 2
+        seg = segment_walk(idx, prev_p, 1)
+        assert seg.end_node == walk(idx, ("a", 0))
+        assert seg.consumed_through == 2
 
     def test_second_segment_renormalizes(self, a_xy):
         idx, _ = build_augmented("xaxyxyxyyaxyxy", a_xy)
         prev_p = prev_encode(parse_pstring("axyx", a_xy))
-        walk = segment_walk(idx, prev_p, 3)
+        seg = segment_walk(idx, prev_p, 3)
         # both labels collapse to 0 for the window starting at 3
-        assert walk.end_node == idx.node_at((0, 0))
-        assert walk.consumed_through == 4
-        assert walk.zero_positions == [3, 4]
+        assert seg.end_node == walk(idx, (0, 0))
+        assert seg.consumed_through == 4
+        assert seg.zero_positions == [3, 4]
 
     def test_unrepresented_start_stays_at_root(self, a_xy):
         idx, _ = build_augmented("xxxx", a_xy)
         prev_p = prev_encode(parse_pstring("a", a_xy))
-        walk = segment_walk(idx, prev_p, 1)
-        assert walk.end_node == ROOT
-        assert walk.consumed_through == 0
-        assert walk.zero_positions == []
+        seg = segment_walk(idx, prev_p, 1)
+        assert seg.end_node == ROOT
+        assert seg.consumed_through == 0
+        assert seg.zero_positions == []
 
 
 class TestKnownAnswers:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ppheap import parse_pstring, prev_encode
+from ppheap.coding import parse_pstring, prev_encode
 from ppheap.oracle import (
     naive_match,
     naive_mrp,

@@ -5,18 +5,11 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 
-from ppheap import (
-    augment,
-    audit_index,
-    build_index,
-    Builder,
-    make_alphabet,
-    match_pattern,
-    parse_pstring,
-    prev_encode,
-    segment_walk,
-)
+from ppheap.augment import augment
+from ppheap.coding import make_alphabet, parse_pstring, prev_encode
+from ppheap.heap import Builder, audit_index, build_index
 from ppheap.dot import to_dot
+from ppheap.matching import match_pattern, segment_walk
 from ppheap.oracle import naive_match, naive_pph, trees_equal
 from ppheap.storage import IndexBundle, dumps, loads
 

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppheap import (
-    IndexFormatError,
-    augment,
-    match_pattern,
-    parse_pstring,
-)
+from ppheap.augment import augment
 from ppheap.cli import main
+from ppheap.coding import make_alphabet, parse_pstring
+from ppheap.errors import IndexFormatError
+from ppheap.matching import match_pattern
 from ppheap.storage import MAGIC, IndexBundle, dumps, load, loads, save
 
 from conftest import build_audited, random_text
@@ -54,7 +52,6 @@ class TestRoundTrip:
         assert dumps(again) == dumps(bundle)
 
     def test_token_mode(self):
-        from ppheap import make_alphabet
         alpha = make_alphabet(["for", "while"], ["i", "j"])
         bundle = make_bundle(["i", "for", "j", "i"], alpha, mode="token")
         blob = dumps(bundle)
@@ -64,7 +61,6 @@ class TestRoundTrip:
         assert dumps(again) == blob
 
     def test_wildcard_round_trip(self):
-        from ppheap import make_alphabet
         raw = ["for", "i", "in", "total", ":", "x", "=", "i"]
         alpha = make_alphabet(["for", "in", ":", "="], ["i", "total", "x"])
         idx = build_audited(raw, alpha)
@@ -143,14 +139,12 @@ class TestValidation:
             loads(blob + "extra\n")
 
     def test_symbols_with_whitespace_rejected(self):
-        from ppheap import make_alphabet
         alpha = make_alphabet(["a b"], ["x"])
         idx = build_audited([], alpha)
         with pytest.raises(IndexFormatError):
             dumps(IndexBundle(idx, augment(idx), "token"))
 
     def test_unstorable_wildcard_rejected(self):
-        from ppheap import make_alphabet
         idx = build_audited(["*"], make_alphabet([], ["*"]))
         # a concrete lone '*' would read back as the wildcard
         with pytest.raises(IndexFormatError):
