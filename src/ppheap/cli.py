@@ -73,9 +73,6 @@ def cmd_query(args) -> int:
     bundle = load(args.index)
     idx = bundle.index
     raw = list(args.pattern) if bundle.mode == "char" else args.pattern.split()
-    if not raw:
-        print("empty pattern", file=sys.stderr)
-        return EXIT_BAD_INPUT
     alphabet = idx.alphabet
     if bundle.wildcard:
         alphabet = make_alphabet(alphabet.constants,

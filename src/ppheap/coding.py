@@ -35,16 +35,14 @@ class Alphabet:
 
     Symbols are opaque atoms (single characters in char mode, whole tokens
     in token mode); only identity and membership matter. Declaration order
-    is preserved and defines the total label order used wherever traversal
-    must be deterministic: constants first, in declaration order, then
-    offsets in numeric order. ``_is_param`` maps every declared symbol to
-    whether it is a parameter; ``prev_encode`` and ``Builder.push`` classify
-    a symbol with one lookup in it.
+    is preserved. ``_is_param`` maps every declared symbol to whether it is
+    a parameter; ``prev_encode`` and ``Builder.push`` classify a symbol with
+    one lookup in it.
 
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("constants", "parameters", "_const_rank", "_is_param")
+    __slots__ = ("constants", "parameters", "_is_param")
 
     def __init__(self, constants: Iterable[Symbol], parameters: Iterable[Symbol]):
         self.constants = tuple(constants)
@@ -60,18 +58,8 @@ class Alphabet:
         if overlap:
             raise OverlappingAlphabet(
                 f"symbols declared both constant and parameter: {sorted(overlap)!r}")
-        self._const_rank = {sym: i for i, sym in enumerate(self.constants)}
         self._is_param = dict.fromkeys(self.constants, False)
         self._is_param.update(dict.fromkeys(self.parameters, True))
-
-    def is_parameter(self, sym: Symbol) -> bool:
-        return self._is_param.get(sym, False)
-
-    def label_key(self, label: PrevLabel) -> tuple[int, object]:
-        """Sort key realizing the total label order."""
-        if isinstance(label, int):
-            return (1, label)
-        return (0, self._const_rank[label])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Alphabet)

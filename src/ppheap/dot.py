@@ -1,14 +1,12 @@
 """Graphviz rendering of an index with its pointer overlays.
 
-Tree edges carry their label, suffix pointers are dashed, and reach
-pointers that leave their own node are drawn as a bold gray edge tagged
-with the text position they belong to. Output is byte-identical across
-runs for the same index.
+Tree edges carry their label and are listed per node in creation order,
+suffix pointers are dashed, and reach pointers that leave their own node
+are drawn as a bold gray edge tagged with the text position they belong
+to. Output is byte-identical across runs for the same index.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .augment import Augmentation
 from .heap import ROOT, PPHIndex
@@ -27,8 +25,8 @@ def _node_label(idx: PPHIndex, v: int) -> str:
     return f"{v}/{secondary}"
 
 
-def to_dot(idx: PPHIndex, aug: Optional[Augmentation] = None) -> str:
-    """Render the index as DOT text; include reach edges when aug is given."""
+def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
+    """Render the index and its reach pointers as DOT text."""
     out = [
         "digraph pheap {",
         "  node [shape=circle, fontsize=10];",
@@ -36,20 +34,19 @@ def to_dot(idx: PPHIndex, aug: Optional[Augmentation] = None) -> str:
     for v in range(idx.node_count):
         out.append(f'  n{v} [label="{_escape(_node_label(idx, v))}"];')
     for v in range(idx.node_count):
-        for label, ch in idx.children_items(v):
+        for label, ch in (idx.children[v] or {}).items():
             out.append(f'  n{v} -> n{ch} [label="{_escape(str(label))}"];')
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")
-    if aug is not None:
-        node_of: dict[int, int] = {}
-        for v in range(1, idx.node_count):
-            for pos in idx.positions_at(v):
-                node_of[pos] = v
-        for i in range(1, idx.n + 1):
-            target = aug.mrp[i - 1]
-            if target != node_of[i]:
-                out.append(
-                    f'  n{node_of[i]} -> n{target} '
-                    f'[style=bold, color=gray50, constraint=false, label="{i}"];')
+    node_of: dict[int, int] = {}
+    for v in range(1, idx.node_count):
+        for pos in idx.positions_at(v):
+            node_of[pos] = v
+    for i in range(1, idx.n + 1):
+        target = aug.mrp[i - 1]
+        if target != node_of[i]:
+            out.append(
+                f'  n{node_of[i]} -> n{target} '
+                f'[style=bold, color=gray50, constraint=false, label="{i}"];')
     out.append("}")
     return "\n".join(out) + "\n"

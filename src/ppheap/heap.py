@@ -46,10 +46,11 @@ class PPHIndex:
     ``text`` is the indexed p-string (raw symbols plus the alphabet) and
     ``prev_text`` its prev-encoding. The arena is held as parallel per-node
     sequences indexed by node id: ``parents`` (-1 for the root),
-    ``depths``, ``children`` (dict label -> child id, or None for a leaf),
-    ``suffixes`` (BOTTOM for the root); ``parents``, ``depths`` and
-    ``suffixes`` are ``array('i')``. A node's incoming edge label is not
-    stored: ``edge_label`` derives it from ``prev_text`` and the depth.
+    ``depths``, ``children`` (dict label -> child id, in creation order and
+    so in ascending id, or None for a leaf), ``suffixes`` (BOTTOM for the
+    root); ``parents``, ``depths`` and ``suffixes`` are ``array('i')``. A
+    node's incoming edge label is not stored: ``edge_label`` derives it
+    from ``prev_text`` and the depth.
     Every non-root node v holds primary position v. ``secondaries`` maps
     the node ids of double nodes to their secondary position. ``preorder``
     lists the node ids in one preorder, root first, so every subtree is one
@@ -89,15 +90,6 @@ class PPHIndex:
         """Label of the edge into non-root node v, derived from prev_text."""
         d = self.depths[v]
         return norm(self.prev_text[v + d - 2], d - 1)
-
-    def children_items(self, v: int) -> list[tuple[PrevLabel, int]]:
-        """(label, child) pairs of v in the deterministic label order."""
-        self._check(v)
-        kids = self.children[v]
-        if not kids:
-            return []
-        key = self.alphabet.label_key
-        return sorted(kids.items(), key=lambda kv: key(kv[0]))
 
     def positions_at(self, v: int) -> list[int]:
         """Positions stored at v, primary first."""

@@ -17,7 +17,7 @@ many such checks per segment as there are parameter symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .augment import Augmentation, subtree_run
 from .coding import PrevLabel, PString, prev_encode
@@ -25,8 +25,7 @@ from .errors import EmptyPattern
 from .heap import ROOT, PPHIndex
 
 
-@dataclass(slots=True)
-class SegmentWalk:
+class SegmentWalk(NamedTuple):
     """Outcome of descending one pattern segment from the root.
 
     ``start`` and ``consumed_through`` are 1-based pattern positions;
@@ -39,7 +38,7 @@ class SegmentWalk:
     start: int
     end_node: int
     consumed_through: int
-    zero_positions: list[int] = field(default_factory=list)
+    zero_positions: list[int]
 
 
 def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> SegmentWalk:
@@ -65,8 +64,7 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> 
             zset.append(i)
         v = nxt
         i += 1
-    return SegmentWalk(start=j, end_node=v, consumed_through=i - 1,
-                       zero_positions=zset)
+    return SegmentWalk(j, v, i - 1, zset)
 
 
 def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[int]:

@@ -2,7 +2,7 @@
 
 Each trial builds an index online, audits its invariants, compares its
 structure and reach pointers against the brute-force rebuilds, and checks
-several pattern queries against the naive matcher. Failures are shrunk by
+three pattern queries against the naive matcher. Failures are shrunk by
 greedy symbol deletion before being reported, so the reproduction case is
 as small as plain deletion can make it.
 """
@@ -107,8 +107,8 @@ def _shrink_text(text_syms: list[Symbol],
     return text_syms
 
 
-def run_selftest(trials: int, max_n: int, sigma: int, pi: int, seed: int,
-                 patterns_per_text: int = 3) -> Optional[TrialFailure]:
+def run_selftest(trials: int, max_n: int, sigma: int, pi: int,
+                 seed: int) -> Optional[TrialFailure]:
     """Run the trial loop; None means every check passed.
 
     Deterministic for a fixed argument tuple.
@@ -128,7 +128,7 @@ def run_selftest(trials: int, max_n: int, sigma: int, pi: int, seed: int,
                                 alphabet.parameters, small, None,
                                 _structure_problem(alphabet, small) or detail)
 
-        for _ in range(patterns_per_text):
+        for _ in range(3):
             if not syms:
                 break
             if n and rng.random() < 0.5:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from ppheap.augment import Augmentation, augment
-from ppheap.coding import Alphabet, PString, make_alphabet, parse_pstring
+from ppheap.coding import Alphabet, make_alphabet, parse_pstring
 from ppheap.heap import ROOT, Builder, PPHIndex, audit_index
 
 
@@ -44,10 +44,6 @@ def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
     syms = list(alphabet.constants + alphabet.parameters)
     n = rng.randint(min_n, max_n)
     return rng.choices(syms, k=n) if n else []
-
-
-def pstring(raw, alphabet: Alphabet) -> PString:
-    return parse_pstring(raw, alphabet)
 
 
 def walk(idx: PPHIndex, labels) -> int | None:

@@ -16,6 +16,46 @@ from ppheap.oracle import naive_match
 PPH1_INDEX = ("PPH/1\nmode char\nconstants a\nparameters xy\nn 3\nxax\nnodes 3\n"
               "0 - - - - -\n1 0 0 1 3 0\n2 0 C:a 2 - 0\nmrp 1 2 1\npreorder 0:3 2:1 1:1\n")
 
+# export-dot output for the README char fixture (workspace); each node's
+# tree edges are listed in creation order
+DEMO_DOT = (
+    'digraph pheap {\n'
+    '  node [shape=circle, fontsize=10];\n'
+    '  n0 [label="root"];\n'
+    '  n1 [label="1/10"];\n'
+    '  n2 [label="2"];\n'
+    '  n3 [label="3"];\n'
+    '  n4 [label="4"];\n'
+    '  n5 [label="5"];\n'
+    '  n6 [label="6"];\n'
+    '  n7 [label="7"];\n'
+    '  n8 [label="8"];\n'
+    '  n9 [label="9"];\n'
+    '  n0 -> n1 [label="0"];\n'
+    '  n0 -> n3 [label="a"];\n'
+    '  n0 -> n5 [label="b"];\n'
+    '  n1 -> n2 [label="a"];\n'
+    '  n1 -> n4 [label="b"];\n'
+    '  n2 -> n6 [label="0"];\n'
+    '  n3 -> n7 [label="0"];\n'
+    '  n4 -> n8 [label="2"];\n'
+    '  n5 -> n9 [label="0"];\n'
+    '  n1 -> n0 [style=dashed, constraint=false];\n'
+    '  n2 -> n3 [style=dashed, constraint=false];\n'
+    '  n3 -> n0 [style=dashed, constraint=false];\n'
+    '  n4 -> n5 [style=dashed, constraint=false];\n'
+    '  n5 -> n0 [style=dashed, constraint=false];\n'
+    '  n6 -> n7 [style=dashed, constraint=false];\n'
+    '  n7 -> n1 [style=dashed, constraint=false];\n'
+    '  n8 -> n9 [style=dashed, constraint=false];\n'
+    '  n9 -> n1 [style=dashed, constraint=false];\n'
+    '  n2 -> n6 [style=bold, color=gray50, constraint=false, label="2"];\n'
+    '  n3 -> n7 [style=bold, color=gray50, constraint=false, label="3"];\n'
+    '  n4 -> n8 [style=bold, color=gray50, constraint=false, label="4"];\n'
+    '  n5 -> n9 [style=bold, color=gray50, constraint=false, label="5"];\n'
+    '}\n'
+)
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -199,8 +239,21 @@ class TestQuery:
 
     def test_empty_pattern_exits_1(self, workspace, capsys):
         index = build_demo(workspace, capsys)
-        code, _, _ = run(["query", "--index", str(index), "--pattern", ""], capsys)
+        code, _, err = run(["query", "--index", str(index), "--pattern", ""], capsys)
         assert code == 1
+        assert "bad pattern" in err
+
+    def test_blank_token_pattern_exits_1(self, tmp_path, capsys):
+        (tmp_path / "alpha.txt").write_text("constants for\nparameters *\n")
+        (tmp_path / "code.txt").write_text("for i for j\n")
+        run(["build", "--text", str(tmp_path / "code.txt"),
+             "--alphabet", str(tmp_path / "alpha.txt"),
+             "--mode", "token", "--out", str(tmp_path / "c.pph")], capsys)
+        code, out, err = run(["query", "--index", str(tmp_path / "c.pph"),
+                              "--pattern", "   "], capsys)
+        assert code == 1
+        assert out == ""
+        assert "bad pattern" in err
 
     def test_no_occurrences_prints_nothing(self, workspace, capsys):
         index = build_demo(workspace, capsys)
@@ -369,6 +422,13 @@ class TestExportDot:
         text = a.decode()
         assert "style=dashed" in text   # suffix pointers
         assert "style=bold" in text     # out-of-node reach pointers
+
+    def test_readme_fixture_full_text(self, workspace, capsys):
+        index = build_demo(workspace, capsys)
+        code, _, _ = run(["export-dot", "--index", str(index),
+                          "--out", str(workspace / "t.dot")], capsys)
+        assert code == 0
+        assert (workspace / "t.dot").read_text() == DEMO_DOT
 
     def test_dot_io_error_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["export-dot", "--index", str(tmp_path / "missing.pph"),

@@ -22,8 +22,8 @@ class TestAlphabet:
         alpha = make_alphabet(list("ab"), list("uvxy"))
         assert alpha.constants == ("a", "b")
         assert alpha.parameters == ("u", "v", "x", "y")
-        assert "a" in alpha.constants and not alpha.is_parameter("a")
-        assert alpha.is_parameter("u") and "u" not in alpha.constants
+        assert "a" in alpha.constants and "a" not in alpha.parameters
+        assert "u" in alpha.parameters and "u" not in alpha.constants
 
     def test_empty_parameters_is_valid(self):
         alpha = make_alphabet(["a"], [])
@@ -39,20 +39,13 @@ class TestAlphabet:
         with pytest.raises(DuplicateSymbol):
             make_alphabet([], ["x", "x"])
 
-    def test_label_order(self):
-        # constants in declaration order, all before offsets
-        alpha = make_alphabet(["b", "a"], ["x"])
-        labels = [0, "a", 5, "b", 2]
-        labels.sort(key=alpha.label_key)
-        assert labels == ["b", "a", 0, 2, 5]
-
 
 class TestParse:
     def test_classification(self, ab_uvxy):
         w = parse_pstring("uvaubuavbv", ab_uvxy)
         assert len(w) == 10
         const_positions = [i for i, s in enumerate(w, start=1)
-                           if not ab_uvxy.is_parameter(s)]
+                           if s not in ab_uvxy.parameters]
         assert const_positions == [3, 5, 7, 9]
 
     def test_empty(self, ab_uvxy):
@@ -124,8 +117,8 @@ class TestPrevEncode:
                 cls[i] = i if c == 0 else cls[i - c]
             for i in range(1, len(raw) + 1):
                 for j in range(i + 1, len(raw) + 1):
-                    if (ab_uvxy.is_parameter(w[i - 1])
-                            and ab_uvxy.is_parameter(w[j - 1])):
+                    if (w[i - 1] in ab_uvxy.parameters
+                            and w[j - 1] in ab_uvxy.parameters):
                         assert (cls[i] == cls[j]) == (raw[i - 1] == raw[j - 1])
 
     def test_drop_first_symbol_law(self, ab_uvxy):
@@ -194,9 +187,9 @@ class TestPMatch:
                 return False
             forward, backward = {}, {}
             for x, y in zip(a, b):
-                if ab_uvxy.is_parameter(x) != ab_uvxy.is_parameter(y):
+                if (x in ab_uvxy.parameters) != (y in ab_uvxy.parameters):
                     return False
-                if not ab_uvxy.is_parameter(x):
+                if x not in ab_uvxy.parameters:
                     if x != y:
                         return False
                 elif forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:

@@ -208,7 +208,7 @@ class TestLookups:
     def test_invalid_node(self, a_xy):
         idx = build_audited("x", a_xy)
         with pytest.raises(InvalidNode):
-            idx.children_items(99)
+            idx.positions_at(99)
         with pytest.raises(InvalidNode):
             idx.path_label(-3)
 

@@ -24,6 +24,7 @@ class TestSegmentWalk:
         prev_p = prev_encode(parse_pstring("axyx", a_xy))
         assert prev_p == ("a", 0, 0, 2)
         seg = segment_walk(idx, prev_p, 1)
+        assert seg.start == 1
         assert seg.end_node == walk(idx, ("a", 0))
         assert seg.consumed_through == 2
 
@@ -31,6 +32,7 @@ class TestSegmentWalk:
         idx, _ = build_augmented("xaxyxyxyyaxyxy", a_xy)
         prev_p = prev_encode(parse_pstring("axyx", a_xy))
         seg = segment_walk(idx, prev_p, 3)
+        assert seg.start == 3
         # both labels collapse to 0 for the window starting at 3
         assert seg.end_node == walk(idx, (0, 0))
         assert seg.consumed_through == 4
@@ -73,7 +75,7 @@ class TestEdgeCases:
             idx, aug = build_augmented(raw, ab_uvxy)
             p = parse_pstring("x", ab_uvxy)
             expected = [i for i, s in enumerate(idx.text, start=1)
-                        if ab_uvxy.is_parameter(s)]
+                        if s in ab_uvxy.parameters]
             assert match_pattern(idx, aug, p) == expected
 
     def test_constant_absent_from_text(self, ab_uvxy):
