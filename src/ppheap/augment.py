@@ -4,11 +4,12 @@ For each text position i the maximal-reach pointer names the deepest node
 whose path label is a prefix of the encoded suffix starting at i. All n
 pointers are computed in one left-to-right sweep that reuses the previous
 position's endpoint through its suffix pointer, so the scan head over the
-text never moves backwards. Preorder entry numbers and subtree sizes, taken
-from the index's preorder node list, then make "is u inside v's subtree" an
-O(1) interval test, and because node v holds primary position v, the
+text never moves backwards. A preorder list of the node ids, with each
+node's entry number and subtree size, then makes "is u inside v's subtree"
+an O(1) interval test, and because node v holds primary position v, the
 primaries of a subtree are one slice of that list. The secondaries, kept
-sorted by their node's preorder number, add one bisect range.
+sorted by their node's preorder number, add one bisect range. Only
+matching reads these intervals, so the index does not carry them.
 """
 
 from __future__ import annotations
@@ -22,21 +23,27 @@ from .heap import ROOT, PPHIndex
 class Augmentation:
     """Per-position reach pointers plus preorder intervals for one index.
 
-    ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` and
-    ``subtree_size`` are indexed by node id. All three are ``array('i')``.
-    ``secondary_ranks`` and ``secondary_positions`` list the secondary positions in the preorder of
+    ``mrp[i-1]`` is the reach node of 1-based position i. ``preorder``
+    lists the node ids, root first, each subtree one run; ``pre_enter`` (a
+    node's index in it) and ``subtree_size`` are indexed by node id. All but
+    ``preorder`` are ``array('i')``. ``secondary_ranks`` and
+    ``secondary_positions`` list the secondary positions in the preorder of
     their nodes, beside those nodes' preorder numbers, so a subtree's
     secondaries are one bisect range. Immutable once built; share it freely
     together with its index.
     """
 
-    __slots__ = ("mrp", "pre_enter", "subtree_size",
+    __slots__ = ("mrp", "preorder", "pre_enter", "subtree_size",
                  "secondary_ranks", "secondary_positions")
 
-    def __init__(self, mrp: array, pre_enter: array, subtree_size: array):
+    def __init__(self, mrp: array, preorder: list[int], subtree_size: array):
         self.mrp = mrp
-        self.pre_enter = pre_enter
+        self.preorder = preorder
         self.subtree_size = subtree_size
+        pre_enter = array("i", [0]) * len(preorder)
+        for k, v in enumerate(preorder):
+            pre_enter[v] = k
+        self.pre_enter = pre_enter
         # the secondary positions are exactly node_count..n, and each one's
         # reach node is the node that stores it
         secs = sorted(range(len(pre_enter), len(mrp) + 1),
@@ -78,40 +85,48 @@ def compute_mrp(idx: PPHIndex) -> array:
     return mrp
 
 
-def preorder_intervals(idx: PPHIndex) -> tuple[array, array]:
-    """Preorder entry numbers and subtree sizes, as ``array('i')`` by node id.
+def preorder_intervals(idx: PPHIndex) -> tuple[list[int], array]:
+    """The node ids in preorder, and the subtree sizes by node id.
 
-    Read off ``idx.preorder``. A parent's id is below its children's ids,
-    so one backward sweep over the ids accumulates the sizes.
+    One stack DFS lists the ids root first, children in dict order (any
+    preorder serves the subtree runs). Its entries are the int objects the
+    children maps hold, so slicing a run creates no ints. A parent's id is
+    below its children's ids, so one backward sweep sums the sizes.
     """
+    children = idx.children
+    preorder: list[int] = []
+    stack = [ROOT]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        kids = children[v]
+        if kids:
+            stack.extend(kids.values())
     count = idx.node_count
-    enter = array("i", [0]) * count
-    for k, v in enumerate(idx.preorder):
-        enter[v] = k
     size = array("i", [1]) * count
     parents = idx.parents
     for v in range(count - 1, 0, -1):
         size[parents[v]] += size[v]
-    return enter, size
+    return preorder, size
 
 
 def augment(idx: PPHIndex) -> Augmentation:
     """Compute the full augmentation (reach pointers and intervals)."""
     mrp = compute_mrp(idx)
-    enter, size = preorder_intervals(idx)
-    return Augmentation(mrp, enter, size)
+    preorder, size = preorder_intervals(idx)
+    return Augmentation(mrp, preorder, size)
 
 
-def subtree_run(idx: PPHIndex, aug: Augmentation, u: int) -> list[int]:
+def subtree_run(aug: Augmentation, u: int) -> list[int]:
     """All positions stored in u's subtree, in no particular order.
 
-    One slice of the preorder node list (node v holds primary position v)
-    plus one bisect range of the secondaries, so the cost is the output
-    size plus O(log d) for d double nodes.
+    One slice of ``aug.preorder`` (node v holds primary position v) plus
+    one bisect range of the secondaries, so the cost is the output size
+    plus O(log d) for d double nodes.
     """
     lo = aug.pre_enter[u]
     hi = lo + aug.subtree_size[u]
-    out = idx.preorder[lo or 1:hi]  # preorder number 0 is the root: no position
+    out = aug.preorder[lo or 1:hi]  # preorder number 0 is the root: no position
     ranks = aug.secondary_ranks
     out += aug.secondary_positions[bisect_left(ranks, lo):bisect_left(ranks, hi)]
     return out

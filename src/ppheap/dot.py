@@ -38,15 +38,13 @@ def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
             out.append(f'  n{v} -> n{ch} [label="{_escape(str(label))}"];')
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")
-    node_of: dict[int, int] = {}
+    # a secondary reaches the node that stores it, so only a primary v
+    # (stored at node v) can leave its node
     for v in range(1, idx.node_count):
-        for pos in idx.positions_at(v):
-            node_of[pos] = v
-    for i in range(1, idx.n + 1):
-        target = aug.mrp[i - 1]
-        if target != node_of[i]:
+        target = aug.mrp[v - 1]
+        if target != v:
             out.append(
-                f'  n{node_of[i]} -> n{target} '
-                f'[style=bold, color=gray50, constraint=false, label="{i}"];')
+                f'  n{v} -> n{target} '
+                f'[style=bold, color=gray50, constraint=false, label="{v}"];')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -18,11 +18,14 @@ children maps are keyed by these labels.
 
 Node ids are dense integers into an arena; the root is always id 0. A
 virtual auxiliary node sits above the root and accepts every label, which
-lets the update loop terminate without special cases.
+lets the update loop terminate without special cases. Only matching reads
+subtree intervals over the nodes, so the augmentation computes them and
+construction never does.
 """
 
 from __future__ import annotations
 
+import copy
 from array import array
 from typing import Iterable, NamedTuple, Optional
 
@@ -51,19 +54,17 @@ class PPHIndex:
     root); ``parents``, ``depths`` and ``suffixes`` are ``array('i')``. A
     node's incoming edge label is not stored: ``edge_label`` derives it
     from ``prev_text`` and the depth.
-    Every non-root node v holds primary position v. ``secondaries`` maps
-    the node ids of double nodes to their secondary position. ``preorder``
-    lists the node ids in one preorder, root first, so every subtree is one
-    contiguous run of it and, because node v holds position v, that run is
-    also the subtree's primary positions. Treat a finalized index as
-    read-only; concurrent queries over it are safe.
+    Every non-root node v holds primary position v, and its parent's id is
+    below v. ``secondaries`` maps the node ids of double nodes to their
+    secondary position. Treat a finalized index as read-only; concurrent
+    queries over it are safe.
     """
 
     __slots__ = ("alphabet", "text", "prev_text", "parents", "depths",
-                 "children", "secondaries", "suffixes", "preorder")
+                 "children", "secondaries", "suffixes")
 
     def __init__(self, alphabet, text, prev_text, parents, depths,
-                 children, secondaries, suffixes, preorder):
+                 children, secondaries, suffixes):
         self.alphabet: Alphabet = alphabet
         self.text: PString = text
         self.prev_text: tuple[PrevLabel, ...] = prev_text
@@ -72,7 +73,6 @@ class PPHIndex:
         self.children: list[Optional[dict]] = children
         self.secondaries: dict[int, int] = secondaries
         self.suffixes: array = suffixes
-        self.preorder: list[int] = preorder
 
     @property
     def n(self) -> int:
@@ -245,9 +245,9 @@ class Builder:
     def finalize(self) -> PPHIndex:
         """Assign the pending secondary positions and freeze the arena.
 
-        Also lists the nodes in preorder (children in dict order; any
-        preorder serves the subtree-run lookups) and packs the integer
-        arrays. Consumes the builder; further pushes raise.
+        Hands over the children maps as they are and a fresh tuple or
+        ``array('i')`` of every other per-symbol or per-node list. Consumes
+        the builder; further pushes raise.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
@@ -260,36 +260,21 @@ class Builder:
             secondaries[cur] = spos
             cur = suffixes[cur]
             spos += 1
-        children = self._children
-        preorder: list[int] = []
-        stack = [ROOT]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            kids = children[v]
-            if kids:
-                stack.extend(kids.values())
         text = PString(tuple(self._symbols), self.alphabet)
         return PPHIndex(self.alphabet, text, tuple(self._prev),
                         array("i", self._parents),
-                        array("i", self._depths), children, secondaries,
-                        array("i", suffixes), preorder)
+                        array("i", self._depths), self._children, secondaries,
+                        array("i", suffixes))
 
     def snapshot(self) -> PPHIndex:
-        """Finalize a deep copy, leaving this builder usable mid-stream."""
-        dup = Builder.__new__(Builder)
-        dup.alphabet = self.alphabet
-        dup._last = dict(self._last)
-        dup._symbols = list(self._symbols)
-        dup._prev = list(self._prev)
-        dup._parents = list(self._parents)
-        dup._depths = list(self._depths)
+        """Finalize a copy, leaving this builder usable mid-stream.
+
+        finalize() copies every list except the children maps, so only
+        those are copied here. Raises like finalize() once the builder is
+        finalized.
+        """
+        dup = copy.copy(self)
         dup._children = [dict(d) if d is not None else None for d in self._children]
-        dup._suffixes = list(self._suffixes)
-        dup._active_node = self._active_node
-        dup._active_pos = self._active_pos
-        dup._k = self._k
-        dup._done = False
         return dup.finalize()
 
 
@@ -303,13 +288,12 @@ def build_index(text: PString) -> PPHIndex:
 def audit_index(idx: PPHIndex) -> None:
     """Verify the structural invariants; raise StructuralError on violation.
 
-    Covers arena coherence (parent/child/depth agreement, and every node
-    registered at its parent under its derived edge label), the node
-    count bound, the exactly-once position partition, the secondary suffix
-    interval, primary < secondary at double nodes, the preorder (a
-    permutation from the root with every subtree one run), the suffix-pointer
-    re-normalization law, and agreement of every stored position's path
-    label with the re-normalized global encoding. Cost grows with total
+    Covers arena coherence (every parent an earlier node, parent/child/depth
+    agreement, and every node registered at its parent under its derived
+    edge label), the node count bound, the exactly-once position partition,
+    the secondary suffix interval, primary < secondary at double nodes, the
+    suffix-pointer re-normalization law, and agreement of every stored
+    position's path label with the re-normalized global encoding. Cost grows with total
     path length; intended for tests and self-checks, not query paths.
     """
     problems: list[str] = []
@@ -326,8 +310,8 @@ def audit_index(idx: PPHIndex) -> None:
 
     for v in range(1, count):
         p = idx.parents[v]
-        if not 0 <= p < count:
-            problems.append(f"node {v}: parent {p} out of range")
+        if not 0 <= p < v:
+            problems.append(f"node {v}: parent {p} is not an earlier node")
             continue
         d = idx.depths[v]
         if d != idx.depths[p] + 1:
@@ -367,36 +351,6 @@ def audit_index(idx: PPHIndex) -> None:
             problems.append(f"node {v}: primary {v} not below secondary {spos}")
     if count != n + 1 - len(idx.secondaries):
         problems.append("node count does not equal n + 1 - double nodes")
-
-    # preorder: a permutation of the nodes, root first, in which every
-    # subtree is the contiguous run that starts at its root. Parents precede
-    # children in id order, so sizes come from one backward sweep; then each
-    # child's run nested inside its parent's run, with distinct ranks,
-    # forces every subtree to fill its run exactly.
-    order = idx.preorder
-    rank = [-1] * count
-    for k, v in enumerate(order):
-        if not (type(v) is int and 0 <= v < count) or rank[v] >= 0:
-            problems.append(f"preorder entry {k} ({v!r}) is not a fresh node id")
-            break
-        rank[v] = k
-    else:
-        late = [v for v in range(1, count) if not 0 <= idx.parents[v] < v]
-        if len(order) != count:
-            problems.append(f"preorder lists {len(order)} of {count} nodes")
-        elif order[0] != ROOT:
-            problems.append("preorder does not start at the root")
-        elif late:
-            problems.append(f"nodes {late[:8]} do not come after their parent")
-        else:
-            size = [1] * count
-            for v in range(count - 1, 0, -1):
-                size[idx.parents[v]] += size[v]
-            for v in range(1, count):
-                p = idx.parents[v]
-                if not rank[p] < rank[v] <= rank[p] + size[p] - size[v]:
-                    problems.append(
-                        f"node {v}: preorder run not inside its parent's run")
 
     # suffix-pointer law: dropping the first symbol re-normalizes the rest
     for v in range(1, count):

@@ -92,7 +92,7 @@ def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[in
         # u spans its whole suffix, which is shorter than the pattern
         lo = enter[u]
         hi = lo + aug.subtree_size[u]
-        hits = subtree_run(idx, aug, u)
+        hits = subtree_run(aug, u)
         v = parents[u]
         while v != ROOT:
             if lo <= enter[mrp[v - 1]] < hi:

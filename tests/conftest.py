@@ -39,6 +39,29 @@ def build_augmented(raw, alphabet: Alphabet) -> tuple[PPHIndex, Augmentation]:
     return idx, augment(idx)
 
 
+def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
+    """Assert that ``aug.preorder`` lists every node id once, root first,
+    that ``pre_enter`` inverts it, and that each node's run of it holds
+    exactly the node's descendants by parent chain."""
+    count = idx.node_count
+    order = aug.preorder
+    assert order[0] == ROOT
+    assert sorted(order) == list(range(count))
+    below: list[set[int]] = [set() for _ in range(count)]
+    for w in range(count):
+        v = w
+        below[v].add(w)
+        while v != ROOT:
+            v = idx.parents[v]
+            below[v].add(w)
+    for v in range(count):
+        lo = aug.pre_enter[v]
+        assert order[lo] == v
+        size = aug.subtree_size[v]
+        assert size == len(below[v]) and lo + size <= count
+        assert set(order[lo:lo + size]) == below[v]
+
+
 def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
                 min_n: int = 0) -> list[str]:
     syms = list(alphabet.constants + alphabet.parameters)

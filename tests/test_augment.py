@@ -8,7 +8,7 @@ from ppheap.augment import augment, compute_mrp, preorder_intervals, subtree_run
 from ppheap.heap import ROOT
 from ppheap.oracle import naive_mrp
 
-from conftest import build_audited, build_augmented, random_text, walk
+from conftest import build_audited, build_augmented, check_preorder, random_text, walk
 
 
 class TestReachPointers:
@@ -70,17 +70,34 @@ def inside(aug, u, v) -> bool:
 class TestPreorder:
     def test_root_interval_covers_everything(self, ab_uvxy):
         idx = build_audited("uvuvauuvb", ab_uvxy)
-        enter, size = preorder_intervals(idx)
-        assert enter[ROOT] == 0
+        preorder, size = preorder_intervals(idx)
+        assert preorder[0] == ROOT
         assert size[ROOT] == idx.node_count
-        assert sorted(enter) == list(range(idx.node_count))
+        assert sorted(preorder) == list(range(idx.node_count))
 
     def test_leaf_size_one(self, ab_uvxy):
         idx = build_audited("uvuvauuvb", ab_uvxy)
-        enter, size = preorder_intervals(idx)
+        _, size = preorder_intervals(idx)
         for v in range(idx.node_count):
             if not idx.children[v]:
                 assert size[v] == 1
+
+    def test_runs_are_subtrees(self, ab_uvxy):
+        rng = random.Random(37)
+        periodic = list("uavbuxa") * 9
+        texts = [random_text(rng, ab_uvxy, 64) for _ in range(20)]
+        for text in texts + ["uv" * 20, "ua" * 9 + "u", periodic[:60]]:
+            idx, aug = build_augmented(text, ab_uvxy)
+            check_preorder(idx, aug)
+
+    def test_entries_are_the_children_maps_ints(self, ab_uvxy):
+        """The preorder holds the node-id objects the children maps hold,
+        so it creates no int per node (ids above 256 are not cached)."""
+        idx, aug = build_augmented(random_text(random.Random(38), ab_uvxy, 400, 400), ab_uvxy)
+        assert idx.node_count > 300
+        for v in range(1, idx.node_count):
+            stored = idx.children[idx.parents[v]][idx.edge_label(v)]
+            assert aug.preorder[aug.pre_enter[v]] is stored
 
     def test_interval_test_equals_parent_chain(self, ab_uvxy):
         rng = random.Random(34)
@@ -126,19 +143,19 @@ class TestSubtreePositions:
         for _ in range(20):
             raw = random_text(rng, ab_uvxy, 48)
             idx, aug = build_augmented(raw, ab_uvxy)
-            assert sorted(subtree_run(idx, aug, ROOT)) == list(range(1, idx.n + 1))
+            assert sorted(subtree_run(aug, ROOT)) == list(range(1, idx.n + 1))
             for v in range(idx.node_count):
-                assert sorted(subtree_run(idx, aug, v)) == positions_by_parent_chain(idx, v)
+                assert sorted(subtree_run(aug, v)) == positions_by_parent_chain(idx, v)
 
     def test_leaf_yields_its_primary(self, a_xy):
         idx, aug = build_augmented("x", a_xy)
         leaf = walk(idx, (0,))
-        assert subtree_run(idx, aug, leaf) == [1]
+        assert subtree_run(aug, leaf) == [1]
 
     def test_known_subtree(self, a_xy):
         idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
         v = walk(idx, (0, 0, 2, 2))
-        positions = sorted(subtree_run(idx, aug, v))
+        positions = sorted(subtree_run(aug, v))
         assert set(positions) <= {3, 4, 5, 11}
         assert positions == positions_by_parent_chain(idx, v)
 
@@ -147,7 +164,7 @@ class TestSubtreePositions:
         for text in (random_text(rng, ab_uvxy, 64, min_n=8), "uv" * 20, "ua" * 9 + "u"):
             idx, aug = build_augmented(text, ab_uvxy)
             for v in range(idx.node_count):
-                got = subtree_run(idx, aug, v)
+                got = subtree_run(aug, v)
                 assert len(got) == len(set(got))
                 assert sorted(got) == positions_by_parent_chain(idx, v)
 
@@ -156,6 +173,7 @@ def test_augment_combines_both_parts(ab_uvxy):
     idx = build_audited("uvaubuavbv", ab_uvxy)
     aug = augment(idx)
     assert aug.mrp == compute_mrp(idx)
-    enter, size = preorder_intervals(idx)
-    assert aug.pre_enter == enter
+    preorder, size = preorder_intervals(idx)
+    assert aug.preorder == preorder
     assert aug.subtree_size == size
+    check_preorder(idx, aug)

@@ -22,7 +22,7 @@ from ppheap.oracle import (
     trees_equal,
 )
 
-from conftest import build_audited, random_text, walk
+from conftest import build_audited, check_preorder, random_text, walk
 
 
 class TestBuilderBasics:
@@ -65,6 +65,13 @@ class TestBuilderBasics:
         b.finalize()
         with pytest.raises(RuntimeError):
             b.push("x")
+
+    def test_snapshot_after_finalize_rejected(self, a_xy):
+        b = Builder(a_xy)
+        b.push("x")
+        b.finalize()
+        with pytest.raises(RuntimeError):
+            b.snapshot()
 
     def test_push_foreign_symbol_rejected(self, a_xy):
         b = Builder(a_xy)
@@ -294,10 +301,8 @@ def _shift_secondary(idx):
     idx.secondaries[v] = spos - 1
 
 
-def _swap_preorder(idx):
-    order = idx.preorder
-    i, j = order.index(walk(idx, (0,))), order.index(walk(idx, (0, "a")))
-    order[i], order[j] = order[j], order[i]
+def _later_parent(idx):
+    idx.parents[1] = idx.node_count - 1
 
 
 def _deepen_all(idx):
@@ -318,11 +323,11 @@ class TestAuditRejects:
         (_swap_siblings, "not registered under its label"),
         (_suffix_to_wrong_depth, "suffix pointer does not drop depth by one"),
         (_shift_secondary, "never stored"),
-        (_swap_preorder, "preorder run not inside its parent's run"),
+        (_later_parent, "is not an earlier node"),
         (_change_last_label, "not registered under its label"),
         (_deepen_all, "runs past the end of the text"),
     ], ids=["rekeyed-child", "swapped-siblings", "suffix-depth", "secondary-shift",
-            "preorder-swap", "last-prev-label", "deepened"])
+            "later-parent", "last-prev-label", "deepened"])
     def test_damage_detected(self, ab_uvxy, damage, message):
         idx = build_audited("uvaubuavbvuvvuab", ab_uvxy)
         damage(idx)
@@ -396,6 +401,7 @@ class BuilderMachine(RuleBasedStateMachine):
         assert trees_equal(snap, naive_pph(text))
         assert snap.prev_text == prev_encode(text)
         aug = augment(snap)
+        check_preorder(snap, aug)
         for i in range(1, snap.n + 1):
             assert aug.mrp[i - 1] == naive_mrp(snap, i)
         p = parse_pstring(pattern, self.alphabet)
