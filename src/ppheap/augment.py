@@ -1,9 +1,10 @@
 """Maximal-reach pointers and output-sensitive subtree enumeration.
 
 For each text position i the maximal-reach pointer names the deepest node
-whose path label is a prefix of the encoded suffix starting at i. All n
-pointers are computed in one left-to-right sweep that reuses the previous
-position's endpoint through its suffix pointer, so the scan head over the
+whose path label is a prefix of the encoded suffix starting at i. A leaf's
+primary and every secondary are their own node's reach, so one
+left-to-right sweep computes the internal nodes' primaries only, reusing
+the previous endpoint through its suffix pointer; the scan head over the
 text never moves backwards. A preorder list of the node ids, with each
 node's entry number and subtree size, then makes "is u inside v's subtree"
 an O(1) interval test, and because node v holds primary position v, the
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import compress, islice
 
 from .heap import ROOT, PPHIndex
 
@@ -55,9 +57,10 @@ class Augmentation:
 def compute_mrp(idx: PPHIndex) -> array:
     """Reach node for every position 1..n, as a 0-indexed ``array('i')``.
 
-    Walks positions in order; each step restarts from the previous reach
-    node's suffix pointer and extends while a child matches the next
-    re-normalized text label; the descent stops at a missing child or at
+    Leaves and secondaries are their own reach: node v lies on suffix v's
+    path, and a secondary's path label is its whole suffix. The sweep
+    descends only from internal nodes, from the previous reach node's (or
+    the last skipped leaf's) suffix pointer, to a leaf, a missing child or
     the end of the text.
     """
     n = idx.n
@@ -65,15 +68,26 @@ def compute_mrp(idx: PPHIndex) -> array:
     children = idx.children
     suffixes = idx.suffixes
     mrp = array("i", [ROOT]) * n
+    for v, s in idx.secondaries.items():
+        mrp[s - 1] = v
     cur = ROOT
     scan = 1  # 1-based text position about to be consumed
-    for i in range(1, n + 1):
+    follows = 1  # the position that cur and scan are set up for
+    for i in compress(range(1, len(children)), islice(children, 1, None)):
+        if i != follows:
+            # leaves follows..i-1; resuming after them keeps scan monotone
+            for v in range(follows, i):
+                mrp[v - 1] = v
+            cur = suffixes[i - 1]
+            scan = i - 1 + idx.depths[i - 1]
         while scan <= n:
+            kids = children[cur]
+            if kids is None:
+                break
             c = prev_text[scan - 1]
             if type(c) is int and c > scan - i:
                 c = 0
-            kids = children[cur]
-            nxt = None if kids is None else kids.get(c)
+            nxt = kids.get(c)
             if nxt is None:
                 break
             cur = nxt
@@ -82,6 +96,9 @@ def compute_mrp(idx: PPHIndex) -> array:
         # every position reaches depth >= 1, so this never lands on the
         # virtual node above the root
         cur = suffixes[cur]
+        follows = i + 1
+    for v in range(follows, len(children)):
+        mrp[v - 1] = v
     return mrp
 
 

@@ -38,8 +38,8 @@ def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
             out.append(f'  n{v} -> n{ch} [label="{_escape(str(label))}"];')
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")
-    # a secondary reaches the node that stores it, so only a primary v
-    # (stored at node v) can leave its node
+    # a secondary reaches the node that stores it and a leaf's primary
+    # the leaf, so only the primary v of an internal node v can leave it
     for v in range(1, idx.node_count):
         target = aug.mrp[v - 1]
         if target != v:

@@ -4,14 +4,80 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ppheap.augment import augment, compute_mrp, preorder_intervals, subtree_run
+from ppheap.coding import make_alphabet
 from ppheap.heap import ROOT
 from ppheap.oracle import naive_mrp
 
 from conftest import build_audited, build_augmented, check_preorder, random_text, walk
 
 
+AB_UVXY = make_alphabet(list("ab"), list("uvxy"))
+SYMBOLS = list("abuvxy")
+# node 1 is a leaf, node 2 internal, node 3 a leaf: the sweep starts after a
+# leaf and its last internal node is followed only by a leaf
+LEAF_FIRST = list("abbb")
+# internal nodes 1 and 2, then leaves 3..6
+LEAVES_LAST = list("uvuvab")
+
+
+@st.composite
+def reach_texts(draw):
+    """Random texts (many leaves), short-period texts (deep, almost
+    leafless) and runs of one parameter (long secondary tails)."""
+    family = draw(st.sampled_from(["random", "periodic", "one-parameter"]))
+    if family == "random":
+        return draw(st.lists(st.sampled_from(SYMBOLS), max_size=60))
+    if family == "periodic":
+        block = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
+        return (block * 60)[:draw(st.integers(0, 60))]
+    head = draw(st.lists(st.sampled_from(SYMBOLS), max_size=4))
+    return head + [draw(st.sampled_from("uvxy"))] * draw(st.integers(0, 40))
+
+
 class TestReachPointers:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=reach_texts())
+    @example(text=[])
+    @example(text=["a"])
+    @example(text=["u", "v"])
+    @example(text=LEAF_FIRST)
+    @example(text=LEAVES_LAST)
+    def test_property_equals_naive_walk(self, text):
+        idx = build_audited(text, AB_UVXY)
+        mrp = compute_mrp(idx)
+        assert len(mrp) == idx.n
+        for i in range(1, idx.n + 1):
+            assert mrp[i - 1] == naive_mrp(idx, i)
+
+    def test_examples_have_their_shapes(self):
+        for text, internal, count in ((LEAF_FIRST, [2], 4), (LEAVES_LAST, [1, 2], 7)):
+            idx = build_audited(text, AB_UVXY)
+            assert idx.node_count == count
+            assert [v for v in range(1, count) if idx.children[v]] == internal
+
+    def test_leaves_and_secondaries_are_their_own_reach(self, ab_uvxy):
+        """The facts the sweep's shortcut rests on, on leafy, deep and
+        one-parameter heaps; an internal node's reach lies in its subtree."""
+        rng = random.Random(39)
+        periodic = list("uavbuxa") * 9
+        texts = [random_text(rng, ab_uvxy, 64) for _ in range(20)]
+        texts += [periodic[:60], list("ab") * 30, list("ab") + ["u"] * 40, LEAF_FIRST]
+        for text in texts:
+            idx, aug = build_augmented(text, ab_uvxy)
+            mrp = aug.mrp
+            for v in range(1, idx.node_count):
+                if idx.children[v] is None:
+                    assert mrp[v - 1] == v
+                else:
+                    assert inside(aug, mrp[v - 1], v)
+                    assert idx.depths[mrp[v - 1]] >= idx.depths[v]
+            for v, s in idx.secondaries.items():
+                assert mrp[s - 1] == v
+
     def test_matches_naive_walk(self, ab_uvxy):
         rng = random.Random(31)
         for _ in range(40):
