@@ -79,7 +79,7 @@ def cmd_query(args) -> int:
                                  wildcard_parameters(raw, alphabet.constants))
     try:
         pattern = parse_pstring(raw, alphabet)
-        hits = match_pattern(idx, bundle.augmentation, pattern)
+        hits = match_pattern(idx, None, pattern)
     except (UnknownSymbol, EmptyPattern) as exc:
         print(f"bad pattern: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,25 +1,31 @@
-"""Pattern matching over an augmented index.
+"""Pattern matching, from the bare heap or over an augmented index.
 
-When the pattern's whole encoding is present as a node u, the occurrences
-are exactly the positions whose reach pointer falls inside u's subtree:
-every position stored in the subtree (one slice of the preorder node list
-plus one bisect range of secondaries), and the primaries on the path above
-u whose reach lands inside it. After the m child lookups and m ancestor
-checks, that costs one sort of the output. Otherwise the pattern is cut
-into segments, each the longest represented prefix of the re-encoded
-remainder, and candidate positions survive only if their reach pointer at
-each segment start hits the segment's end node (the last segment may land
-anywhere in its subtree). Segment re-encoding loses back-references that
-cross a segment boundary: every label that collapsed to 0 inside a segment
-is re-checked against the text's encoding directly. There are at most as
-many such checks per segment as there are parameter symbols.
+Let u be the node where the pattern's first descent stops. Every
+occurrence is a primary on the root-to-u path or, when the whole encoding
+spells u, a position stored in u's subtree. Without an augmentation, a
+query whose path primaries need at most n label checks (m - depth(v)
+each, at most depth(u) * m in all) is answered by those checks plus a
+stack walk of u's subtree, which costs its output; any other query first
+computes the augmentation, since direct checks are quadratic on deep heaps.
+
+Over an augmentation, a whole encoding u is answered by the positions
+whose reach pointer falls inside u's subtree: the subtree's own (one slice
+of the preorder node list plus one bisect range of secondaries) and the
+path primaries above u whose reach lands inside it, then one sort.
+Otherwise the pattern is cut into segments, each the longest represented
+prefix of the re-encoded remainder, and a candidate survives only if its
+reach pointer at each segment start hits the segment's end node (the last
+segment may land anywhere in its subtree). A label that collapsed to 0
+inside a segment lost a back-reference across its boundary, so it is
+re-checked against the text: at most one check per parameter symbol per
+segment.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .augment import Augmentation, subtree_run
+from .augment import Augmentation, augment, subtree_run
 from .coding import PrevLabel, PString, prev_encode
 from .errors import EmptyPattern
 from .heap import ROOT, PPHIndex
@@ -67,24 +73,73 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> 
     return SegmentWalk(j, v, i - 1, zset)
 
 
-def match_pattern(idx: PPHIndex, aug: Augmentation, pattern: PString) -> list[int]:
+def match_pattern(idx: PPHIndex, aug: Augmentation | None,
+                  pattern: PString) -> list[int]:
     """All 1-based positions where the pattern occurs up to parameter renaming.
 
-    Raises EmptyPattern for a zero-length pattern. The result is strictly
-    increasing and duplicate free.
+    ``aug`` None: the bare heap answers if the rule above allows, else
+    ``augment(idx)`` is computed for this query alone. Raises EmptyPattern
+    for a zero-length pattern. The result is strictly increasing and
+    duplicate free.
     """
     m = len(pattern)
     if m == 0:
         raise EmptyPattern("cannot match an empty pattern")
-    n = idx.n
-    if m > n:
+    if m > idx.n:
         return []
     prev_p = prev_encode(pattern)
+    walk = segment_walk(idx, prev_p, 1)
+    if aug is None:
+        k = walk.consumed_through
+        if k * m - k * (k + 1) // 2 <= idx.n:
+            return _direct_hits(idx, prev_p, walk)
+        aug = augment(idx)
+    return _filtered_hits(idx, aug, prev_p, walk)
+
+
+def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
+                 walk: SegmentWalk) -> list[int]:
+    """The occurrences, from the bare heap and the pattern's first descent."""
+    m = len(prev_p)
+    parents = idx.parents
+    hits: list[int] = []
+    v = walk.end_node
+    if walk.consumed_through == m:
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            hits.append(x)
+            if idx.children[x]:
+                stack.extend(idx.children[x].values())
+        hits += [s for s in map(idx.secondaries.get, hits) if s]
+        v = parents[v]
+    # a secondary on the path spans a suffix shorter than the pattern, and
+    # a primary's path label already matches its first depth(v) labels
+    prev_t = idx.prev_text
+    last = idx.n - m + 1
+    while v != ROOT:
+        if v <= last:
+            for j in range(idx.depths[v], m):
+                c = prev_t[v + j - 1]
+                if type(c) is int and c > j:
+                    c = 0
+                if c != prev_p[j]:
+                    break
+            else:
+                hits.append(v)
+        v = parents[v]
+    hits.sort()
+    return hits
+
+
+def _filtered_hits(idx: PPHIndex, aug: Augmentation,
+                   prev_p: tuple[PrevLabel, ...], walk: SegmentWalk) -> list[int]:
+    """The occurrences, by the paper's reach-pointer filter."""
+    m = len(prev_p)
+    n = idx.n
     mrp = aug.mrp
     enter = aug.pre_enter
     parents = idx.parents
-
-    walk = segment_walk(idx, prev_p, 1)
     u = walk.end_node
     if walk.consumed_through == m:
         # whole encoding present: the subtree's positions, plus the path

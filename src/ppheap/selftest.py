@@ -2,9 +2,9 @@
 
 Each trial builds an index online, audits its invariants, compares its
 structure and reach pointers against the brute-force rebuilds, and checks
-three pattern queries against the naive matcher. Failures are shrunk by
-greedy symbol deletion before being reported, so the reproduction case is
-as small as plain deletion can make it.
+three pattern queries, with and without the augmentation, against the
+naive matcher. Failures are shrunk by greedy symbol deletion before they
+are reported, to a case as small as plain deletion can make it.
 """
 
 from __future__ import annotations
@@ -84,11 +84,12 @@ def _match_problem(alphabet: Alphabet, text_syms: list[Symbol],
         idx = build_index(text)
         aug = augment(idx)
         got = match_pattern(idx, aug, pattern)
+        bare = match_pattern(idx, None, pattern)
         want = naive_match(text, pattern)
     except PPHeapError as exc:
         return f"exception: {exc}"
-    if got != want:
-        return f"index found {got}, oracle found {want}"
+    if got != want or bare != want:
+        return f"index found {got} ({bare} unaugmented), oracle found {want}"
     return None
 
 

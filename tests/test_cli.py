@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from ppheap import storage
+from ppheap import matching, storage
 from ppheap.augment import augment
 from ppheap.cli import main
 from ppheap.coding import make_alphabet, parse_pstring
@@ -347,11 +347,31 @@ class TestLazyAugmentation:
         assert code == 0
         assert out == "n=10\nnodes=10\ndouble=1\ndepth=3\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["query", "--pattern", "xayby", "--verify"],
-        ["export-dot", "--out", "t.dot"],
-    ], ids=["query", "export-dot"])
-    def test_readers_compute_it_once(self, workspace, capsys, monkeypatch, argv):
+    def test_one_shot_query_computes_none(self, workspace, capsys, monkeypatch):
+        # the README query descends to depth 3 with m = 5: the path
+        # primaries need 4 + 3 + 2 = 9 <= n = 10 direct label checks
+        index = build_demo(workspace, capsys)
+
+        def refuse(idx):
+            raise AssertionError("query computed the augmentation")
+
+        monkeypatch.setattr(storage, "augment", refuse)
+        monkeypatch.setattr(matching, "augment", refuse)
+        code, out, _ = run(["query", "--pattern", "xayby", "--verify",
+                            "--index", str(index)], capsys)
+        assert code == 0
+        assert out == "2\n6\n"
+
+    @pytest.mark.parametrize("argv,out", [
+        (["query", "--pattern", "x" * 150, "--verify"],
+         "".join(f"{i}\n" for i in range(1, 52))),
+        (["export-dot", "--out", "t.dot"], ""),
+    ], ids=["deep-query", "export-dot"])
+    def test_readers_compute_it_once(self, workspace, capsys, monkeypatch, argv, out):
+        if argv[0] == "query":
+            # a one-parameter chain 100 deep: the descent stops at depth
+            # 100, and 100 path primaries need far more than n = 200 checks
+            (workspace / "text.txt").write_text("x" * 200 + "\n")
         index = build_demo(workspace, capsys)
         calls = []
 
@@ -360,12 +380,12 @@ class TestLazyAugmentation:
             return augment(idx)
 
         monkeypatch.setattr(storage, "augment", counted)
+        monkeypatch.setattr(matching, "augment", counted)
         monkeypatch.chdir(workspace)
-        code, out, _ = run(argv + ["--index", str(index)], capsys)
+        code, got, _ = run(argv + ["--index", str(index)], capsys)
         assert code == 0 and len(calls) == 1
-        if argv[0] == "query":
-            assert out == "2\n6\n"
-        else:
+        assert got == out
+        if argv[0] == "export-dot":
             assert "style=bold" in (workspace / "t.dot").read_text()
 
 

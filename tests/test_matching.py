@@ -1,4 +1,4 @@
-"""Tests for pattern matching over the augmented index."""
+"""Tests for pattern matching, from the bare heap and over the augmented index."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppheap import matching
+from ppheap.augment import augment
 from ppheap.coding import make_alphabet, parse_pstring, prev_encode
 from ppheap.errors import EmptyPattern
-from ppheap.heap import ROOT
-from ppheap.matching import match_pattern, segment_walk
+from ppheap.heap import ROOT, build_index
+from ppheap.matching import _direct_hits, _filtered_hits, match_pattern, segment_walk
 from ppheap.oracle import naive_match
 
 from conftest import build_augmented, random_text, walk
@@ -208,3 +210,82 @@ class TestMatchProperty:
         idx, aug = build_augmented(text, AB_UVXY)
         p = parse_pstring(pattern, AB_UVXY)
         assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
+
+
+@st.composite
+def branch_cases(draw):
+    """A text and a pattern for forcing each branch: random texts, windows
+    of short-period texts (whole, or with one symbol of the second half
+    changed), patterns longer than the text, and patterns holding a
+    parameter the text lacks."""
+    family = draw(st.sampled_from(["random", "periodic", "longer", "absent"]))
+    if family == "random":
+        text = draw(st.lists(st.sampled_from(SYMBOLS), max_size=60))
+        return text, draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8))
+    if family == "longer":
+        text = draw(st.lists(st.sampled_from(SYMBOLS), max_size=12))
+        extra = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
+        return text, text + extra
+    block = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
+    text = (block * 30)[:draw(st.integers(1, 80))]
+    start = draw(st.integers(0, len(text) - 1))
+    pattern = text[start:start + draw(st.integers(1, len(text) - start))]
+    if family == "absent":
+        missing = [s for s in "uvxy" if s not in text]
+        if missing:
+            k = draw(st.integers(0, len(pattern) - 1))
+            pattern = pattern[:k] + [missing[0]] + pattern[k + 1:]
+    elif len(pattern) > 1 and draw(st.booleans()):
+        k = draw(st.integers(len(pattern) // 2, len(pattern) - 1))
+        pattern = pattern[:k] + [draw(st.sampled_from(SYMBOLS))] + pattern[k + 1:]
+    return text, pattern
+
+
+class TestBothBranches:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(case=branch_cases())
+    def test_each_branch_equals_naive_match(self, case):
+        text, pattern = case
+        idx, aug = build_augmented(text, AB_UVXY)
+        p = parse_pstring(pattern, AB_UVXY)
+        prev_p = prev_encode(p)
+        first = segment_walk(idx, prev_p, 1)
+        want = naive_match(idx.text, p)
+        assert _direct_hits(idx, prev_p, first) == want
+        assert _filtered_hits(idx, aug, prev_p, first) == want
+        assert match_pattern(idx, None, p) == want
+
+
+class TestBareHeapRule:
+    """Without an augmentation, the rule decides by counting label checks."""
+
+    @pytest.fixture
+    def periodic(self):
+        alpha = make_alphabet(["a", "b"], ["x", "y", "z"])
+        return build_index(parse_pstring("xaybzxb" * 1200, alpha)), alpha
+
+    @pytest.fixture
+    def augment_calls(self, monkeypatch):
+        calls = []
+
+        def counted(idx):
+            calls.append(idx)
+            return augment(idx)
+
+        monkeypatch.setattr(matching, "augment", counted)
+        return calls
+
+    def test_late_mismatch_takes_the_filter(self, periodic, augment_calls):
+        idx, alpha = periodic
+        raw = list(idx.text.symbols[100:100 + 4096])
+        raw[3000] = "a" if raw[3000] != "a" else "b"
+        p = parse_pstring(raw, alpha)
+        assert match_pattern(idx, None, p) == naive_match(idx.text, p)
+        assert len(augment_calls) == 1
+
+    def test_short_window_takes_the_bare_heap(self, periodic, augment_calls):
+        idx, alpha = periodic
+        p = parse_pstring(list(idx.text.symbols[100:116]), alpha)
+        hits = match_pattern(idx, None, p)
+        assert hits == naive_match(idx.text, p) and len(hits) > 1000
+        assert augment_calls == []

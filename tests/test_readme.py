@@ -69,7 +69,7 @@ def masked(lines: list[str]) -> list[str]:
 def test_library_quickstart(capsys):
     (block,) = fenced_blocks("python")
     exec(compile(block, str(README), "exec"), {})
-    assert capsys.readouterr().out == "[2, 6]\n"
+    assert capsys.readouterr().out == "[2, 6]\n[2, 6]\n"
 
 
 @pytest.mark.parametrize("run", [

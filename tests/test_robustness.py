@@ -63,7 +63,8 @@ class TestDeepHeapQueries:
         assert (segment_walk(idx, prev_encode(pattern), 1).consumed_through == m) == whole
         with shallow_stack():
             got = match_pattern(idx, aug, pattern)
-        assert got == expected
+            bare = match_pattern(idx, None, pattern)
+        assert got == bare == expected
 
     def test_period_seven_text(self):
         alpha = make_alphabet(["a", "b"], ["x", "y", "z"])
