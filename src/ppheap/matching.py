@@ -18,7 +18,11 @@ reach pointer at each segment start hits the segment's end node (the last
 segment may land anywhere in its subtree). A label that collapsed to 0
 inside a segment lost a back-reference across its boundary, so it is
 re-checked against the text: at most one check per parameter symbol per
-segment.
+segment. Once c candidates survive with the labels i..m still to read and
+c * (m - i + 1) <= m, the filter stops walking segments and checks those
+labels of each candidate against the text directly. Those checks read at
+most m labels, no more than the filter reads from the pattern, so the
+query stays within the paper's O(m(sigma + pi) + occ) bound.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
                  walk: SegmentWalk) -> list[int]:
     """The occurrences, from the bare heap and the pattern's first descent."""
     m = len(prev_p)
+    children = idx.children
     parents = idx.parents
     hits: list[int] = []
     v = walk.end_node
@@ -109,32 +114,48 @@ def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
         while stack:
             x = stack.pop()
             hits.append(x)
-            if idx.children[x]:
-                stack.extend(idx.children[x].values())
+            kids = children[x]
+            if kids:
+                stack.extend(kids.values())
         hits += [s for s in map(idx.secondaries.get, hits) if s]
         v = parents[v]
     # a secondary on the path spans a suffix shorter than the pattern, and
     # a primary's path label already matches its first depth(v) labels
     prev_t = idx.prev_text
+    depths = idx.depths
     last = idx.n - m + 1
     while v != ROOT:
-        if v <= last:
-            for j in range(idx.depths[v], m):
-                c = prev_t[v + j - 1]
-                if type(c) is int and c > j:
-                    c = 0
-                if c != prev_p[j]:
-                    break
-            else:
-                hits.append(v)
+        if v <= last and _window_matches(prev_t, prev_p, v, depths[v]):
+            hits.append(v)
         v = parents[v]
     hits.sort()
     return hits
 
 
+def _window_matches(prev_t: tuple[PrevLabel, ...], prev_p: tuple[PrevLabel, ...],
+                    pos: int, k: int) -> bool:
+    """Whether the text window at pos p-matches the pattern from label k+1 on.
+
+    Text labels are re-normalized to the window; the caller guarantees the
+    first k labels and pos + len(prev_p) - 1 <= n.
+    """
+    for j in range(k, len(prev_p)):
+        c = prev_t[pos + j - 1]
+        if type(c) is int and c > j:
+            c = 0
+        if c != prev_p[j]:
+            return False
+    return True
+
+
 def _filtered_hits(idx: PPHIndex, aug: Augmentation,
                    prev_p: tuple[PrevLabel, ...], walk: SegmentWalk) -> list[int]:
-    """The occurrences, by the paper's reach-pointer filter."""
+    """The occurrences, by the paper's reach-pointer filter.
+
+    Before each segment, when the candidates times the labels left is at
+    most m, the rest of each candidate's window is compared with the text
+    instead (at most m label reads), and the filter stops there.
+    """
     m = len(prev_p)
     n = idx.n
     mrp = aug.mrp
@@ -171,6 +192,12 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
     prev_t = idx.prev_text
     i = walk.consumed_through + 1
     while candidates and i <= m:
+        if len(candidates) * (m - i + 1) <= m:
+            # the reach tests so far guarantee labels 1..i-1, and the
+            # labels left to read total at most m
+            last = n - m + 1
+            return sorted(c for c in candidates
+                          if c <= last and _window_matches(prev_t, prev_p, c, i - 1))
         seg = segment_walk(idx, prev_p, i)
         v = seg.end_node
         if v == ROOT:

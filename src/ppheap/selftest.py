@@ -3,7 +3,9 @@
 Each trial builds an index online, audits its invariants, compares its
 structure and reach pointers against the brute-force rebuilds, and checks
 three pattern queries, with and without the augmentation, against the
-naive matcher. Failures are shrunk by greedy symbol deletion before they
+naive matcher. A pattern is a short text window, a long one (up to the
+whole text, sometimes with one symbol of its second half changed), or
+random symbols. Failures are shrunk by greedy symbol deletion before they
 are reported, to a case as small as plain deletion can make it.
 """
 
@@ -132,11 +134,17 @@ def run_selftest(trials: int, max_n: int, sigma: int, pi: int,
         for _ in range(3):
             if not syms:
                 break
-            if n and rng.random() < 0.5:
-                # substring pattern, guaranteed at least one occurrence
+            r = rng.random()
+            if n and r < 0.6:
+                # a text window: short, or up to the whole text, which on
+                # deep heaps fails the bare-heap rule and walks several
+                # segments; half the long ones get a late symbol changed
                 start = rng.randint(1, n)
-                m = rng.randint(1, min(8, n - start + 1))
+                m = rng.randint(1, min(8, n - start + 1) if r < 0.3 else n - start + 1)
                 pattern_syms = text_syms[start - 1:start - 1 + m]
+                if r >= 0.45 and m > 1:
+                    k = rng.randint(m // 2, m - 1)
+                    pattern_syms[k] = rng.choice(syms)
             else:
                 pattern_syms = rng.choices(syms, k=rng.randint(1, 8))
             detail = _match_problem(alphabet, text_syms, pattern_syms)

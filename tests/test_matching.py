@@ -289,3 +289,116 @@ class TestBareHeapRule:
         hits = match_pattern(idx, None, p)
         assert hits == naive_match(idx.text, p) and len(hits) > 1000
         assert augment_calls == []
+
+
+@st.composite
+def few_candidate_cases(draw):
+    """A window of a random text: whole, with one symbol changed, or run
+    past the text's end."""
+    text = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=120))
+    start = draw(st.integers(0, len(text) - 1))
+    pattern = text[start:start + draw(st.integers(1, len(text) - start))]
+    variant = draw(st.sampled_from(["window", "changed", "past-end"]))
+    if variant == "changed":
+        k = draw(st.integers(0, len(pattern) - 1))
+        pattern = pattern[:k] + [draw(st.sampled_from(SYMBOLS))] + pattern[k + 1:]
+    elif variant == "past-end":
+        pattern = text[start:] + draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3))
+    return text, pattern
+
+
+@st.composite
+def late_mismatch_cases(draw):
+    """A window of a short-period text with one symbol of its second half
+    changed, so many candidates pass the early segments."""
+    block = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
+    text = (block * 240)[:draw(st.integers(60, 240))]
+    start = draw(st.integers(0, len(text) // 2))
+    pattern = text[start:start + draw(st.integers(16, len(text) - start))]
+    k = draw(st.integers(len(pattern) // 2, len(pattern) - 1))
+    return text, pattern[:k] + [draw(st.sampled_from(SYMBOLS))] + pattern[k + 1:]
+
+
+class CountingLabels:
+    """A label sequence that counts its reads."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.labels[i]
+
+    def __len__(self):
+        return len(self.labels)
+
+
+class TestFilterSwitch:
+    """Once candidates times labels left is at most m, the filter stops
+    walking segments and checks the rest of each window against the text."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        starts = []
+        real = matching.segment_walk
+
+        def counted(idx, prev_p, j):
+            starts.append(j)
+            return real(idx, prev_p, j)
+
+        monkeypatch.setattr(matching, "segment_walk", counted)
+        return starts
+
+    @staticmethod
+    def filtered(walks, text, pattern):
+        """``_filtered_hits`` after the first descent, checked against
+        ``naive_match``; returns (later segments walked, text labels read)."""
+        idx, aug = build_augmented(text, AB_UVXY)
+        p = parse_pstring(pattern, AB_UVXY)
+        prev_p = prev_encode(p)
+        first = segment_walk(idx, prev_p, 1)
+        idx.prev_text = labels = CountingLabels(idx.prev_text)
+        walks.clear()
+        assert _filtered_hits(idx, aug, prev_p, first) == naive_match(idx.text, p)
+        return len(walks), labels.reads
+
+    def sides(self, walks, cases):
+        """Queries that checked the text before any later segment, and
+        queries that walked one, over 300 derandomized cases."""
+        direct = walked = 0
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(case=cases)
+        def check(case):
+            nonlocal direct, walked
+            segments, reads = self.filtered(walks, *case)
+            if segments:
+                walked += 1
+            elif reads:  # only the direct checks read the text before a later segment
+                direct += 1
+
+        check()
+        return direct, walked
+
+    def test_few_candidates_switch_to_direct_checks(self, walks):
+        direct, walked = self.sides(walks, few_candidate_cases())
+        assert direct >= 30 and direct > 3 * walked
+
+    def test_late_mismatch_keeps_the_filter(self, walks):
+        _, walked = self.sides(walks, late_mismatch_cases())
+        assert walked >= 30
+
+    @pytest.mark.parametrize("block,start,stop,walked", [
+        ("aab", 150, 270, False),   # switches before any later segment
+        ("aabab", 20, 260, True),   # 43 candidates pass 4 later segments first
+    ])
+    def test_direct_checks_read_at_most_m_labels(self, walks, block, start, stop,
+                                                 walked):
+        # constants only: no label collapses to 0, so the filter itself
+        # reads no text label and every read is a direct check
+        text = list(block * (300 // len(block)))
+        text[200] = "a" if text[200] == "b" else "b"
+        segments, reads = self.filtered(walks, text, text[start:stop])
+        assert bool(segments) == walked
+        assert 0 < reads <= stop - start
