@@ -19,7 +19,7 @@ from array import array
 from bisect import bisect_left
 from itertools import compress, islice
 
-from .heap import ROOT, PPHIndex
+from .heap import ROOT, PPHIndex, subtree_nodes
 
 
 class Augmentation:
@@ -47,7 +47,9 @@ class Augmentation:
             pre_enter[v] = k
         self.pre_enter = pre_enter
         # the secondary positions are exactly node_count..n, and each one's
-        # reach node is the node that stores it
+        # reach node is the node that stores it; they stay out of the
+        # preorder, since there they break its ascending runs and the sort
+        # in matching costs more than these bisect arrays save
         secs = sorted(range(len(pre_enter), len(mrp) + 1),
                       key=lambda s: pre_enter[mrp[s - 1]])
         self.secondary_ranks = array("i", [pre_enter[mrp[s - 1]] for s in secs])
@@ -105,20 +107,11 @@ def compute_mrp(idx: PPHIndex) -> array:
 def preorder_intervals(idx: PPHIndex) -> tuple[list[int], array]:
     """The node ids in preorder, and the subtree sizes by node id.
 
-    One stack DFS lists the ids root first, children in dict order (any
-    preorder serves the subtree runs). Its entries are the int objects the
-    children maps hold, so slicing a run creates no ints. A parent's id is
-    below its children's ids, so one backward sweep sums the sizes.
+    The ids are ``subtree_nodes`` of the root (any preorder serves the
+    subtree runs). A parent's id is below its children's ids, so one
+    backward sweep sums the sizes.
     """
-    children = idx.children
-    preorder: list[int] = []
-    stack = [ROOT]
-    while stack:
-        v = stack.pop()
-        preorder.append(v)
-        kids = children[v]
-        if kids:
-            stack.extend(kids.values())
+    preorder = subtree_nodes(idx, ROOT)
     count = idx.node_count
     size = array("i", [1]) * count
     parents = idx.parents

@@ -36,7 +36,7 @@ class Alphabet:
     Symbols are opaque atoms (single characters in char mode, whole tokens
     in token mode); only identity and membership matter. Declaration order
     is preserved. ``_is_param`` maps every declared symbol to whether it is
-    a parameter; ``prev_encode`` and ``Builder.push`` classify a symbol with
+    a parameter; ``prev_encode`` and ``Builder.extend`` classify a symbol with
     one lookup in it.
 
     Instances are immutable after construction and safe to share.

@@ -120,15 +120,14 @@ class PPHIndex:
 
 
 class Builder:
-    """Single-owner online builder: push raw symbols, then finalize.
+    """Single-owner online builder: extend by raw symbols, then finalize.
 
-    Each pushed symbol is prev-encoded inline, from the last position that
-    held each parameter. After k pushed symbols, suffix start positions
-    below the active position already sit at their permanent node as
-    primaries; positions from the active position through k are pending and
-    get materialized as secondary positions by finalize(). finalize()
-    consumes the builder; snapshot() finalizes a copy so the stream can
-    continue.
+    Each symbol is prev-encoded inline, from the last position that held
+    each parameter. After k symbols, suffix start positions below the
+    active position already sit at their permanent node as primaries;
+    positions from the active position through k are pending and get
+    materialized as secondary positions by finalize(). finalize() consumes
+    the builder; snapshot() finalizes a copy so the stream can continue.
     """
 
     __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
@@ -151,18 +150,9 @@ class Builder:
         self._done = False
 
     @property
-    def size(self) -> int:
-        """Number of symbols consumed so far."""
-        return self._k
-
-    @property
     def suffix_steps(self) -> int:
         """Total suffix-pointer traversals so far: one per created node."""
         return len(self._parents) - 1
-
-    def push(self, sym: Symbol) -> None:
-        """Consume one raw symbol; the same as ``extend((sym,))``."""
-        self.extend((sym,))
 
     def extend(self, symbols: Iterable[Symbol]) -> None:
         """Consume raw symbols in order, updating the heap for each longer text.
@@ -247,7 +237,7 @@ class Builder:
 
         Hands over the children maps as they are and a fresh tuple or
         ``array('i')`` of every other per-symbol or per-node list. Consumes
-        the builder; further pushes raise.
+        the builder; further extends raise.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
@@ -276,6 +266,25 @@ class Builder:
         dup = copy.copy(self)
         dup._children = [dict(d) if d is not None else None for d in self._children]
         return dup.finalize()
+
+
+def subtree_nodes(idx: PPHIndex, u: int) -> list[int]:
+    """The node ids of u's subtree in preorder, u first.
+
+    One stack walk, children in dict order, reading ``children[x]`` once
+    per node. The entries past u are the int objects the children maps
+    hold, so slicing the list creates no ints.
+    """
+    children = idx.children
+    out: list[int] = []
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        kids = children[x]
+        if kids:
+            stack.extend(kids.values())
+    return out
 
 
 def build_index(text: PString) -> PPHIndex:

@@ -5,8 +5,9 @@ occurrence is a primary on the root-to-u path or, when the whole encoding
 spells u, a position stored in u's subtree. Without an augmentation, a
 query whose path primaries need at most n label checks (m - depth(v)
 each, at most depth(u) * m in all) is answered by those checks plus a
-stack walk of u's subtree, which costs its output; any other query first
-computes the augmentation, since direct checks are quadratic on deep heaps.
+walk of u's subtree (``heap.subtree_nodes``), which costs its output; any
+other query first computes the augmentation, since direct checks are
+quadratic on deep heaps.
 
 Over an augmentation, a whole encoding u is answered by the positions
 whose reach pointer falls inside u's subtree: the subtree's own (one slice
@@ -22,17 +23,19 @@ segment. Once c candidates survive with the labels i..m still to read and
 c * (m - i + 1) <= m, the filter stops walking segments and checks those
 labels of each candidate against the text directly. Those checks read at
 most m labels, no more than the filter reads from the pattern, so the
-query stays within the paper's O(m(sigma + pi) + occ) bound.
+query stays within the paper's O(m(sigma + pi) + occ) bound. All three
+checks against the text (path primaries, zero labels, the labels a
+candidate has left) call ``_window_matches`` with their 0-based offsets.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .augment import Augmentation, augment, subtree_run
 from .coding import PrevLabel, PString, prev_encode
 from .errors import EmptyPattern
-from .heap import ROOT, PPHIndex
+from .heap import ROOT, PPHIndex, subtree_nodes
 
 
 class SegmentWalk(NamedTuple):
@@ -40,7 +43,7 @@ class SegmentWalk(NamedTuple):
 
     ``start`` and ``consumed_through`` are 1-based pattern positions;
     ``consumed_through`` is start-1 when not even the first label matched.
-    ``zero_positions`` lists the absolute pattern positions whose
+    ``zero_positions`` lists the 0-based pattern offsets whose
     segment-relative label collapsed to 0 and therefore need a text-side
     re-check.
     """
@@ -71,7 +74,7 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> 
         if nxt is None:
             break
         if c == 0:
-            zset.append(i)
+            zset.append(i - 1)
         v = nxt
         i += 1
     return SegmentWalk(j, v, i - 1, zset)
@@ -105,18 +108,11 @@ def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
                  walk: SegmentWalk) -> list[int]:
     """The occurrences, from the bare heap and the pattern's first descent."""
     m = len(prev_p)
-    children = idx.children
     parents = idx.parents
     hits: list[int] = []
     v = walk.end_node
     if walk.consumed_through == m:
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            hits.append(x)
-            kids = children[x]
-            if kids:
-                stack.extend(kids.values())
+        hits = subtree_nodes(idx, v)
         hits += [s for s in map(idx.secondaries.get, hits) if s]
         v = parents[v]
     # a secondary on the path spans a suffix shorter than the pattern, and
@@ -125,7 +121,7 @@ def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
     depths = idx.depths
     last = idx.n - m + 1
     while v != ROOT:
-        if v <= last and _window_matches(prev_t, prev_p, v, depths[v]):
+        if v <= last and _window_matches(prev_t, prev_p, v, range(depths[v], m)):
             hits.append(v)
         v = parents[v]
     hits.sort()
@@ -133,13 +129,14 @@ def _direct_hits(idx: PPHIndex, prev_p: tuple[PrevLabel, ...],
 
 
 def _window_matches(prev_t: tuple[PrevLabel, ...], prev_p: tuple[PrevLabel, ...],
-                    pos: int, k: int) -> bool:
-    """Whether the text window at pos p-matches the pattern from label k+1 on.
+                    pos: int, offsets: Iterable[int]) -> bool:
+    """Whether the text window at pos agrees with the pattern at the offsets.
 
-    Text labels are re-normalized to the window; the caller guarantees the
-    first k labels and pos + len(prev_p) - 1 <= n.
+    ``offsets`` are 0-based pattern offsets; offset j reads text label
+    pos + j, re-normalized to the window that begins at pos. The caller
+    vouches for the other labels and that every read is within the text.
     """
-    for j in range(k, len(prev_p)):
+    for j in offsets:
         c = prev_t[pos + j - 1]
         if type(c) is int and c > j:
             c = 0
@@ -177,9 +174,6 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
         hits.sort()
         return hits
 
-    if u == ROOT:
-        return []
-
     # candidates: primaries along the walked path whose reach is exactly u
     # (node v holds primary position v)
     candidates: list[int] = []
@@ -197,11 +191,9 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
             # labels left to read total at most m
             last = n - m + 1
             return sorted(c for c in candidates
-                          if c <= last and _window_matches(prev_t, prev_p, c, i - 1))
+                          if c <= last and _window_matches(prev_t, prev_p, c, range(i - 1, m)))
         seg = segment_walk(idx, prev_p, i)
         v = seg.end_node
-        if v == ROOT:
-            return []
         j = seg.start
         i = seg.consumed_through + 1
         final = i > m
@@ -220,15 +212,7 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
                 continue
             # cross-segment re-check of labels that collapsed to 0; the
             # reach test above guarantees these text accesses are in range
-            ok = True
-            for z in seg.zero_positions:
-                c = prev_t[cand + z - 2]
-                if type(c) is int and c > z - 1:
-                    c = 0
-                if c != prev_p[z - 1]:
-                    ok = False
-                    break
-            if ok:
+            if _window_matches(prev_t, prev_p, cand, seg.zero_positions):
                 survivors.append(cand)
         candidates = survivors
     return sorted(candidates)

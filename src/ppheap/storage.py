@@ -37,11 +37,10 @@ class IndexBundle:
     """Everything one index file describes: the index, its augmentation, the mode.
 
     ``augmentation`` may be given as None: it is then computed from the
-    index on first read, so ``dumps`` and the ``stats`` and ``query``
-    commands never pay for it (``query`` hands ``match_pattern`` None,
-    which augments only past its rule). ``wildcard`` marks a token-mode
-    index built with ``parameters *``: the file stores the wildcard itself,
-    and queries treat every non-constant pattern token as a parameter.
+    index on first read, and code that never reads it never pays for it.
+    ``wildcard`` marks a token-mode index built with ``parameters *``: the
+    file stores the wildcard itself, and queries treat every non-constant
+    pattern token as a parameter.
     """
 
     __slots__ = ("index", "_augmentation", "mode", "wildcard")

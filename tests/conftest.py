@@ -8,7 +8,7 @@ import pytest
 
 from ppheap.augment import Augmentation, augment
 from ppheap.coding import Alphabet, make_alphabet, parse_pstring
-from ppheap.heap import ROOT, Builder, PPHIndex, audit_index
+from ppheap.heap import ROOT, Builder, PPHIndex, audit_index, subtree_nodes
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def build_audited(raw, alphabet: Alphabet) -> PPHIndex:
     text = parse_pstring(raw, alphabet)
     b = Builder(alphabet)
     for s in text:
-        b.push(s)
+        b.extend((s,))
     idx = b.finalize()
     audit_index(idx)
     return idx
@@ -41,8 +41,10 @@ def build_augmented(raw, alphabet: Alphabet) -> tuple[PPHIndex, Augmentation]:
 
 def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
     """Assert that ``aug.preorder`` lists every node id once, root first,
-    that ``pre_enter`` inverts it, and that each node's run of it holds
-    exactly the node's descendants by parent chain."""
+    that ``pre_enter`` inverts it, that each node's run of it holds
+    exactly the node's descendants by parent chain, and that the run is
+    what ``subtree_nodes`` lists, so the bare-heap and augmented matchers
+    see one subtree listing."""
     count = idx.node_count
     order = aug.preorder
     assert order[0] == ROOT
@@ -60,6 +62,7 @@ def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
         size = aug.subtree_size[v]
         assert size == len(below[v]) and lo + size <= count
         assert set(order[lo:lo + size]) == below[v]
+        assert subtree_nodes(idx, v) == order[lo:lo + size]
 
 
 def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,

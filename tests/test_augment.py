@@ -152,7 +152,7 @@ class TestPreorder:
         rng = random.Random(37)
         periodic = list("uavbuxa") * 9
         texts = [random_text(rng, ab_uvxy, 64) for _ in range(20)]
-        for text in texts + ["uv" * 20, "ua" * 9 + "u", periodic[:60]]:
+        for text in texts + ["uv" * 20, "ua" * 9 + "u", periodic[:60], "ab" + "u" * 40]:
             idx, aug = build_augmented(text, ab_uvxy)
             check_preorder(idx, aug)
 

@@ -27,9 +27,9 @@ from conftest import build_audited, check_preorder, random_text, walk
 
 class TestBuilderBasics:
     def test_fresh_builder(self, a_xy):
-        b = Builder(a_xy)
-        assert b.size == 0
-        assert b.snapshot().node_count == 1  # active position 1: nothing placed yet
+        snap = Builder(a_xy).snapshot()
+        assert snap.n == 0
+        assert snap.node_count == 1  # active position 1: nothing placed yet
 
     def test_empty_text(self, a_xy):
         idx = Builder(a_xy).finalize()
@@ -64,22 +64,22 @@ class TestBuilderBasics:
         b = Builder(a_xy)
         b.finalize()
         with pytest.raises(RuntimeError):
-            b.push("x")
+            b.extend(("x",))
 
     def test_snapshot_after_finalize_rejected(self, a_xy):
         b = Builder(a_xy)
-        b.push("x")
+        b.extend(("x",))
         b.finalize()
         with pytest.raises(RuntimeError):
             b.snapshot()
 
     def test_push_foreign_symbol_rejected(self, a_xy):
         b = Builder(a_xy)
-        b.push("x")
+        b.extend(("x",))
         with pytest.raises(UnknownSymbol) as info:
-            b.push("q")
+            b.extend(("q",))
         assert (info.value.symbol, info.value.position) == ("q", 2)
-        assert b.size == 1
+        assert b.snapshot().n == 1
 
     def test_extend_stops_at_undeclared_symbol(self, ab_uvxy):
         """The prefix before an undeclared symbol stays consumed, nothing after."""
@@ -87,11 +87,11 @@ class TestBuilderBasics:
         with pytest.raises(UnknownSymbol) as info:
             b.extend(iter("uvauzbv"))
         assert (info.value.symbol, info.value.position) == ("z", 5)
-        assert b.size == 4
         snap = b.snapshot()
+        assert snap.n == 4
         audit_index(snap)
         assert trees_equal(snap, naive_pph(parse_pstring("uvau", ab_uvxy)))
-        b.push("b")
+        b.extend(("b",))
         b.extend("uavbv")
         idx = b.finalize()
         audit_index(idx)
@@ -102,7 +102,7 @@ class TestBuilderBasics:
 
 
 class TestInlineEncoding:
-    """push() prev-encodes each symbol as it arrives."""
+    """extend() prev-encodes each symbol as it arrives."""
 
     def test_first_labels(self, ab_uvxy):
         b = Builder(ab_uvxy)
@@ -120,7 +120,7 @@ class TestInlineEncoding:
         b = Builder(ab_uvxy)
         got = []
         for s in w:
-            b.push(s)
+            b.extend((s,))
             got.append(b.snapshot().prev_text[-1])
         assert tuple(got) == prev_encode(w)
 
@@ -142,7 +142,7 @@ class TestActivePosition:
         assert before.node_count == 6  # the active position
         assert sorted(before.secondaries.values()) == [6, 7, 8]
 
-        b.push("x")
+        b.extend(("x",))
         after = b.snapshot()
         assert after.node_count == 8
         assert sorted(after.secondaries.values()) == [8, 9]
@@ -157,7 +157,7 @@ class TestActivePosition:
             raw = random_text(rng, ab_uvxy, 32)
             b = Builder(ab_uvxy)
             for s in parse_pstring(raw, ab_uvxy):
-                b.push(s)
+                b.extend((s,))
                 snap = b.snapshot()
                 stored = {snap.positions_at(v)[0] for v in range(1, snap.node_count)}
                 assert stored == set(range(1, snap.node_count))
@@ -167,7 +167,7 @@ class TestOnlineOfflineAgreement:
     def test_example_text_stepwise(self, ab_uvxy):
         b = Builder(ab_uvxy)
         for s in parse_pstring("uvuvauuvb", ab_uvxy):
-            b.push(s)
+            b.extend((s,))
             snap = b.snapshot()
             audit_index(snap)
             assert trees_equal(snap, naive_pph(snap.text))
@@ -383,13 +383,13 @@ class BuilderMachine(RuleBasedStateMachine):
 
     @rule(sym=st.sampled_from("axy"))
     def push(self, sym):
-        self.builder.push(sym)
+        self.builder.extend((sym,))
         self.raw.append(sym)
 
     @rule(sym=st.sampled_from(["b", "z", "xy", ""]))
     def push_undeclared(self, sym):
         with pytest.raises(UnknownSymbol) as info:
-            self.builder.push(sym)
+            self.builder.extend((sym,))
         assert (info.value.symbol, info.value.position) == (sym, len(self.raw) + 1)
 
     @rule(pattern=st.lists(st.sampled_from("axy"), min_size=1, max_size=6))
@@ -409,7 +409,7 @@ class BuilderMachine(RuleBasedStateMachine):
 
     @invariant()
     def size_counts_accepted_pushes(self):
-        assert self.builder.size == len(self.raw)
+        assert self.builder.snapshot().n == len(self.raw)
 
 
 TestBuilderMachine = BuilderMachine.TestCase

@@ -38,7 +38,7 @@ class TestSegmentWalk:
         # both labels collapse to 0 for the window starting at 3
         assert seg.end_node == walk(idx, (0, 0))
         assert seg.consumed_through == 4
-        assert seg.zero_positions == [3, 4]
+        assert seg.zero_positions == [2, 3]
 
     def test_unrepresented_start_stays_at_root(self, a_xy):
         idx, _ = build_augmented("xxxx", a_xy)
@@ -217,8 +217,8 @@ def branch_cases(draw):
     """A text and a pattern for forcing each branch: random texts, windows
     of short-period texts (whole, or with one symbol of the second half
     changed), patterns longer than the text, and patterns holding a
-    parameter the text lacks."""
-    family = draw(st.sampled_from(["random", "periodic", "longer", "absent"]))
+    parameter or the constant b that the text lacks."""
+    family = draw(st.sampled_from(["random", "periodic", "longer", "absent", "constant"]))
     if family == "random":
         text = draw(st.lists(st.sampled_from(SYMBOLS), max_size=60))
         return text, draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8))
@@ -226,6 +226,18 @@ def branch_cases(draw):
         text = draw(st.lists(st.sampled_from(SYMBOLS), max_size=12))
         extra = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
         return text, text + extra
+    if family == "constant":
+        # a window running to the text's end, with b first or right after
+        # its first descent: there many candidates reach the node, and the
+        # segment that starts at b ends at the root
+        block = draw(st.lists(st.sampled_from("auvxy"), min_size=1, max_size=4))
+        text = (block * 30)[:draw(st.integers(1, 80))]
+        pattern = text[draw(st.integers(0, len(text) - 1)):]
+        k = 0
+        if draw(st.booleans()):
+            idx = build_index(parse_pstring(text, AB_UVXY))
+            k = segment_walk(idx, prev_encode(parse_pstring(pattern, AB_UVXY)), 1).consumed_through
+        return text, pattern[:k] + ["b"] + pattern[k + 1:]
     block = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=4))
     text = (block * 30)[:draw(st.integers(1, 80))]
     start = draw(st.integers(0, len(text) - 1))

@@ -110,7 +110,7 @@ class TestMidStreamQueries:
         b = Builder(ab_uvxy)
         stream = parse_pstring("uvaubuavbvuvau", ab_uvxy)
         for cut, s in enumerate(stream, start=1):
-            b.push(s)
+            b.extend((s,))
             if cut in (5, 10, 14):
                 snap = b.snapshot()
                 aug = augment(snap)
