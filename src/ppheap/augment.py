@@ -83,15 +83,24 @@ def compute_mrp(idx: PPHIndex) -> array:
             cur = suffixes[i - 1]
             scan = i - 1 + idx.depths[i - 1]
         while scan <= n:
-            kids = children[cur]
-            if kids is None:
-                break
-            c = prev_text[scan - 1]
-            if type(c) is int and c > scan - i:
-                c = 0
-            nxt = kids.get(c)
+            nxt = children[cur]
             if nxt is None:
                 break
+            d = scan - i  # cur's depth
+            c = prev_text[scan - 1]
+            if type(c) is int and c > d:
+                c = 0
+            if type(nxt) is int:
+                # the single child's label, re-normalized to d
+                e = prev_text[nxt + d - 1]
+                if type(e) is int and e > d:
+                    e = 0
+                if e != c:
+                    break
+            else:
+                nxt = nxt.get(c)
+                if nxt is None:
+                    break
             cur = nxt
             scan += 1
         mrp[i - 1] = cur

@@ -34,7 +34,7 @@ def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
     for v in range(idx.node_count):
         out.append(f'  n{v} [label="{_escape(_node_label(idx, v))}"];')
     for v in range(idx.node_count):
-        for label, ch in (idx.children[v] or {}).items():
+        for label, ch in idx.child_map(v).items():
             out.append(f'  n{v} -> n{ch} [label="{_escape(str(label))}"];')
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")

@@ -13,8 +13,11 @@ dropped (labels re-normalized for the shorter window).
 
 No edge label is stored. Node v at depth d is created while text symbol
 v + d - 1 is read, at parent depth d - 1, so its edge label is that
-symbol's prev label re-normalized to a window of length d - 1; the
-children maps are keyed by these labels.
+symbol's prev label re-normalized to a window of length d - 1. A node
+with one child stores that child's id, and only a node with two or more
+children stores a dict, keyed by these labels; a single child's label is
+derived whenever a walk compares it, with ``==``, since token-mode labels
+equal by value are distinct ``str`` objects.
 
 Node ids are dense integers into an arena; the root is always id 0. A
 virtual auxiliary node sits above the root and accepts every label, which
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from array import array
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .coding import Alphabet, PrevLabel, PString, Symbol, norm
 from .errors import InvalidNode, StructuralError, UnknownSymbol
@@ -49,11 +52,13 @@ class PPHIndex:
     ``text`` is the indexed p-string (raw symbols plus the alphabet) and
     ``prev_text`` its prev-encoding. The arena is held as parallel per-node
     sequences indexed by node id: ``parents`` (-1 for the root),
-    ``depths``, ``children`` (dict label -> child id, in creation order and
-    so in ascending id, or None for a leaf), ``suffixes`` (BOTTOM for the
-    root); ``parents``, ``depths`` and ``suffixes`` are ``array('i')``. A
-    node's incoming edge label is not stored: ``edge_label`` derives it
-    from ``prev_text`` and the depth.
+    ``depths``, ``children``, ``suffixes`` (BOTTOM for the root);
+    ``parents``, ``depths`` and ``suffixes`` are ``array('i')``. A
+    ``children`` entry is None for a leaf, the child's id (an ``int``) for
+    a node with one child, and a dict label -> child id, in creation order
+    and so in ascending id, for a node with two or more; ``child_map``
+    gives any node's children as a dict. A node's incoming edge label is
+    not stored: ``edge_label`` derives it from ``prev_text`` and the depth.
     Every non-root node v holds primary position v, and its parent's id is
     below v. ``secondaries`` maps the node ids of double nodes to their
     secondary position. Treat a finalized index as read-only; concurrent
@@ -70,7 +75,7 @@ class PPHIndex:
         self.prev_text: tuple[PrevLabel, ...] = prev_text
         self.parents: array = parents
         self.depths: array = depths
-        self.children: list[Optional[dict]] = children
+        self.children: list[int | dict | None] = children
         self.secondaries: dict[int, int] = secondaries
         self.suffixes: array = suffixes
 
@@ -90,6 +95,16 @@ class PPHIndex:
         """Label of the edge into non-root node v, derived from prev_text."""
         d = self.depths[v]
         return norm(self.prev_text[v + d - 2], d - 1)
+
+    def child_map(self, v: int) -> dict[PrevLabel, int]:
+        """A new dict of v's children, label -> child id, in creation order."""
+        self._check(v)
+        kids = self.children[v]
+        if kids is None:
+            return {}
+        if type(kids) is int:
+            return {self.edge_label(kids): kids}
+        return dict(kids)
 
     def positions_at(self, v: int) -> list[int]:
         """Positions stored at v, primary first."""
@@ -142,7 +157,7 @@ class Builder:
         # arena with the root node only
         self._parents: list[int] = [-1]
         self._depths: list[int] = [0]
-        self._children: list[Optional[dict]] = [None]
+        self._children: list[int | dict | None] = [None]
         self._suffixes: list[int] = [BOTTOM]
         self._active_node = ROOT
         self._active_pos = 1
@@ -169,7 +184,8 @@ class Builder:
         is_param_of = self.alphabet._is_param
         last_at = self._last
         add_symbol = self._symbols.append
-        add_label = self._prev.append
+        prev = self._prev
+        add_label = prev.append
         add_parent = self._parents.append
         add_depth = self._depths.append
         add_children = self._children.append
@@ -198,7 +214,8 @@ class Builder:
                 # suffix pointer is the next node created in this chain, or
                 # the node that ends the chain: each suffix entry is appended
                 # one node late. d is cur's depth; -1 is the virtual node,
-                # which accepts every label.
+                # which accepts every label. A single child w of cur has
+                # the label prev[w + d - 1], re-normalized to d.
                 first = spos
                 cur = node
                 d = depths[cur]
@@ -206,7 +223,15 @@ class Builder:
                 while d >= 0:
                     kids = children[cur]
                     if kids is None:
-                        children[cur] = {c: spos}
+                        children[cur] = spos
+                    elif type(kids) is int:
+                        e = prev[kids + d - 1]
+                        if type(e) is int and e > d:
+                            e = 0
+                        if e == c:
+                            nxt = kids
+                            break
+                        children[cur] = {e: kids, c: spos}
                     else:
                         nxt = kids.get(c)
                         if nxt is not None:
@@ -235,7 +260,7 @@ class Builder:
     def finalize(self) -> PPHIndex:
         """Assign the pending secondary positions and freeze the arena.
 
-        Hands over the children maps as they are and a fresh tuple or
+        Hands over the children list as it is and a fresh tuple or
         ``array('i')`` of every other per-symbol or per-node list. Consumes
         the builder; further extends raise.
         """
@@ -259,12 +284,13 @@ class Builder:
     def snapshot(self) -> PPHIndex:
         """Finalize a copy, leaving this builder usable mid-stream.
 
-        finalize() copies every list except the children maps, so only
-        those are copied here. Raises like finalize() once the builder is
+        finalize() copies every list except the children, so the list is
+        copied here, and of its entries only the dicts, which later
+        extends mutate in place. Raises like finalize() once the builder is
         finalized.
         """
         dup = copy.copy(self)
-        dup._children = [dict(d) if d is not None else None for d in self._children]
+        dup._children = [d.copy() if type(d) is dict else d for d in self._children]
         return dup.finalize()
 
 
@@ -272,16 +298,21 @@ def subtree_nodes(idx: PPHIndex, u: int) -> list[int]:
     """The node ids of u's subtree in preorder, u first.
 
     One stack walk, children in dict order, reading ``children[x]`` once
-    per node. The entries past u are the int objects the children maps
-    hold, so slicing the list creates no ints.
+    per node; a single child is visited next without a stack push. The
+    entries past u are the int objects the children entries hold, so
+    slicing the list creates no ints.
     """
     children = idx.children
     out: list[int] = []
+    add = out.append
     stack = [u]
     while stack:
         x = stack.pop()
-        out.append(x)
+        add(x)
         kids = children[x]
+        while type(kids) is int:
+            add(kids)
+            kids = children[kids]
         if kids:
             stack.extend(kids.values())
     return out
@@ -298,11 +329,13 @@ def audit_index(idx: PPHIndex) -> None:
     """Verify the structural invariants; raise StructuralError on violation.
 
     Covers arena coherence (every parent an earlier node, parent/child/depth
-    agreement, and every node registered at its parent under its derived
-    edge label), the node count bound, the exactly-once position partition,
-    the secondary suffix interval, primary < secondary at double nodes, the
-    suffix-pointer re-normalization law, and agreement of every stored
-    position's path label with the re-normalized global encoding. Cost grows with total
+    agreement, every node registered at its parent under its derived edge
+    label, and children entries in canonical form: a single child as its
+    id, a dict only for two or more), the node count bound, the
+    exactly-once position partition, the secondary suffix interval,
+    primary < secondary at double nodes, the suffix-pointer
+    re-normalization law, and agreement of every stored position's path
+    label with the re-normalized global encoding. Cost grows with total
     path length; intended for tests and self-checks, not query paths.
     """
     problems: list[str] = []
@@ -329,11 +362,25 @@ def audit_index(idx: PPHIndex) -> None:
             problems.append(f"node {v}: depth {d} runs past the end of the text")
         else:
             kids = idx.children[p]
-            if kids is None or kids.get(idx.edge_label(v)) != v:
+            if type(kids) is int:
+                registered = kids == v
+            else:
+                registered = type(kids) is dict and kids.get(idx.edge_label(v)) == v
+            if not registered:
                 problems.append(f"node {v}: not registered under its label at parent {p}")
-    edge_total = sum(len(d) for d in idx.children if d)
+    edge_total = 0
+    for v, kids in enumerate(idx.children):
+        if type(kids) is int:
+            edge_total += 1
+            if not 0 < kids < count or idx.parents[kids] != v:
+                problems.append(f"node {v}: single child {kids} is not a child of it")
+        elif type(kids) is dict:
+            edge_total += len(kids)
+            if len(kids) < 2:
+                problems.append(f"node {v}: children dict of size {len(kids)}; "
+                                "a single child is stored as its id")
     if edge_total != count - 1:
-        problems.append(f"children maps hold {edge_total} edges for {count} nodes")
+        problems.append(f"children entries hold {edge_total} edges for {count} nodes")
     if problems:
         # the checks below walk parent chains and derive labels from depths
         raise StructuralError("; ".join(problems))

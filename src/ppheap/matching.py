@@ -58,10 +58,13 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> 
     """Descend from the root along the segment of the pattern starting at j.
 
     Labels are re-normalized to the window that begins at j; the walk stops
-    at the first missing child or when the pattern is exhausted.
+    at the first missing child or when the pattern is exhausted. The node
+    reached after labels j..i-1 has depth d = i - j, and a single child w
+    of it has the label prev_text[w + d - 1] re-normalized to d.
     """
     m = len(prev_pattern)
     children = idx.children
+    prev_t = idx.prev_text
     v = ROOT
     zset: list[int] = []
     i = j
@@ -69,10 +72,20 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int) -> 
         c = prev_pattern[i - 1]
         if type(c) is int and c > i - j:
             c = 0
-        kids = children[v]
-        nxt = None if kids is None else kids.get(c)
-        if nxt is None:
+        nxt = children[v]
+        if type(nxt) is dict:
+            nxt = nxt.get(c)
+            if nxt is None:
+                break
+        elif nxt is None:
             break
+        else:
+            d = i - j
+            e = prev_t[nxt + d - 1]
+            if type(e) is int and e > d:
+                e = 0
+            if e != c:
+                break
         if c == 0:
             zset.append(i - 1)
         v = nxt

@@ -86,7 +86,7 @@ def naive_mrp(idx: PPHIndex, i: int) -> int:
     """Reach node of position i by walking the fresh suffix encoding from the root."""
     v = ROOT
     for c in prev_encode(idx.text[i - 1:]):
-        nxt = (idx.children[v] or {}).get(c)
+        nxt = idx.child_map(v).get(c)
         if nxt is None:
             break
         v = nxt
@@ -105,7 +105,7 @@ def trees_equal(idx: PPHIndex, ref: NaiveTree) -> bool:
         v, r = stack.pop()
         if idx.positions_at(v) != r.positions:
             return False
-        kids = idx.children[v] or {}
+        kids = idx.child_map(v)
         if kids.keys() != r.children.keys():
             return False
         for label, ch in kids.items():

@@ -72,11 +72,21 @@ def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
     return rng.choices(syms, k=n) if n else []
 
 
+TOKEN_ALPHABET = make_alphabet(["for", "in", "print"], ["alpha", "beta", "gamma"])
+
+
+def token_text(rng: random.Random, n: int) -> tuple[list[str], Alphabet]:
+    """A random token-mode text of n tokens, split from one string, so
+    equal tokens are distinct str objects, with its alphabet."""
+    tokens = rng.choices(TOKEN_ALPHABET.constants + TOKEN_ALPHABET.parameters, k=n)
+    return " ".join(tokens).split(), TOKEN_ALPHABET
+
+
 def walk(idx: PPHIndex, labels) -> int | None:
     """Node reached by following the given edge labels from the root, or None."""
     v = ROOT
     for c in labels:
-        v = (idx.children[v] or {}).get(c)
+        v = idx.child_map(v).get(c)
         if v is None:
             return None
     return v

@@ -157,12 +157,12 @@ class TestPreorder:
             check_preorder(idx, aug)
 
     def test_entries_are_the_children_maps_ints(self, ab_uvxy):
-        """The preorder holds the node-id objects the children maps hold,
-        so it creates no int per node (ids above 256 are not cached)."""
+        """The preorder holds the node-id objects the children entries
+        hold, so it creates no int per node (ids above 256 are not cached)."""
         idx, aug = build_augmented(random_text(random.Random(38), ab_uvxy, 400, 400), ab_uvxy)
         assert idx.node_count > 300
         for v in range(1, idx.node_count):
-            stored = idx.children[idx.parents[v]][idx.edge_label(v)]
+            stored = idx.child_map(idx.parents[v])[idx.edge_label(v)]
             assert aug.preorder[aug.pre_enter[v]] is stored
 
     def test_interval_test_equals_parent_chain(self, ab_uvxy):

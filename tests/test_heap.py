@@ -22,7 +22,7 @@ from ppheap.oracle import (
     trees_equal,
 )
 
-from conftest import build_audited, check_preorder, random_text, walk
+from conftest import build_audited, check_preorder, random_text, token_text, walk
 
 
 class TestBuilderBasics:
@@ -278,11 +278,91 @@ class TestInvariants:
             assert b.suffix_steps == b.finalize().node_count - 1
 
 
+def _frozen_children(idx):
+    return [list(e.items()) if type(e) is dict else e for e in idx.children]
+
+
+class TestChildrenLayout:
+    """A leaf stores None, a node with one child that child's id, and only
+    a node with two or more children a dict."""
+
+    def _texts(self):
+        rng = random.Random(29)
+        ab_uvxy = make_alphabet(list("ab"), list("uvxy"))
+        one_param = make_alphabet([], ["x"])
+        for _ in range(10):
+            yield random_text(rng, ab_uvxy, 200, 100), ab_uvxy
+            yield rng.choices("x", k=rng.randint(50, 300)), one_param
+            yield token_text(rng, rng.randint(100, 300))
+        periodic = make_alphabet(["a", "b"], ["x", "y", "z"])
+        yield list("xaybzxb" * 60), periodic
+        yield list("ab" * 100), make_alphabet(list("ab"), [])
+
+    def test_entries_are_canonical(self):
+        shapes = set()
+        for raw, alpha in self._texts():
+            idx = build_audited(raw, alpha)
+            kid_count = [0] * idx.node_count
+            for v in range(1, idx.node_count):
+                kid_count[idx.parents[v]] += 1
+            dicts = 0
+            for v, kids in enumerate(idx.children):
+                if kids is None:
+                    assert kid_count[v] == 0
+                    shapes.add("leaf")
+                elif type(kids) is int:
+                    assert kid_count[v] == 1 and idx.parents[kids] == v
+                    shapes.add("single")
+                else:
+                    assert type(kids) is dict and len(kids) == kid_count[v] >= 2
+                    dicts += 1
+            assert dicts == sum(1 for k in kid_count if k >= 2)
+            if dicts:
+                shapes.add("dict")
+        assert shapes == {"leaf", "single", "dict"}
+
+    def test_snapshot_unchanged_by_later_extends(self, ab_uvxy):
+        """A snapshot owns its children: entries that later turn from an id
+        into a dict, or dicts that later gain a child, stay as they were."""
+        rng = random.Random(30)
+        upgraded = grown = 0
+        for raw in ["uvaubuavbvuvvuab"] + [random_text(rng, ab_uvxy, 40, 20)
+                                            for _ in range(10)]:
+            text = parse_pstring(raw, ab_uvxy)
+            for k in range(1, len(raw)):
+                b = Builder(ab_uvxy)
+                b.extend(text.symbols[:k])
+                snap = b.snapshot()
+                frozen = _frozen_children(snap)
+                b.extend(text.symbols[k:])
+                final = b.finalize()
+                for v, kids in enumerate(snap.children):
+                    if type(kids) is int and type(final.children[v]) is dict:
+                        upgraded += 1
+                    elif type(kids) is dict and len(final.children[v]) > len(kids):
+                        grown += 1
+                assert _frozen_children(snap) == frozen
+                audit_index(snap)
+                assert trees_equal(snap, naive_pph(text[:k]))
+        assert upgraded and grown
+
+
 def _rekey_child(idx):
-    kids = idx.children[walk(idx, (0, "b"))]
-    (v,) = kids.values()
-    kids.clear()
-    kids["a"] = v
+    kids = idx.children[walk(idx, (0,))]
+    kids[99] = kids.pop("b")
+
+
+def _one_entry_dict(idx):
+    u = walk(idx, (0, "b"))
+    v = idx.children[u]
+    assert type(v) is int
+    idx.children[u] = {idx.edge_label(v): v}
+
+
+def _wrong_single_child(idx):
+    u = walk(idx, (0, "b"))
+    assert type(idx.children[u]) is int
+    idx.children[u] = walk(idx, (0,))
 
 
 def _swap_siblings(idx):
@@ -320,14 +400,16 @@ class TestAuditRejects:
 
     @pytest.mark.parametrize("damage, message", [
         (_rekey_child, "not registered under its label"),
+        (_one_entry_dict, "children dict of size 1"),
+        (_wrong_single_child, "single child 1 is not a child of it"),
         (_swap_siblings, "not registered under its label"),
         (_suffix_to_wrong_depth, "suffix pointer does not drop depth by one"),
         (_shift_secondary, "never stored"),
         (_later_parent, "is not an earlier node"),
         (_change_last_label, "not registered under its label"),
         (_deepen_all, "runs past the end of the text"),
-    ], ids=["rekeyed-child", "swapped-siblings", "suffix-depth", "secondary-shift",
-            "later-parent", "last-prev-label", "deepened"])
+    ], ids=["rekeyed-child", "one-entry-dict", "wrong-single-child", "swapped-siblings",
+            "suffix-depth", "secondary-shift", "later-parent", "last-prev-label", "deepened"])
     def test_damage_detected(self, ab_uvxy, damage, message):
         idx = build_audited("uvaubuavbvuvvuab", ab_uvxy)
         damage(idx)

@@ -13,11 +13,11 @@ from ppheap import matching
 from ppheap.augment import augment
 from ppheap.coding import make_alphabet, parse_pstring, prev_encode
 from ppheap.errors import EmptyPattern
-from ppheap.heap import ROOT, build_index
+from ppheap.heap import ROOT, audit_index, build_index
 from ppheap.matching import _direct_hits, _filtered_hits, match_pattern, segment_walk
-from ppheap.oracle import naive_match
+from ppheap.oracle import naive_match, naive_pph, trees_equal
 
-from conftest import build_augmented, random_text, walk
+from conftest import build_augmented, random_text, token_text, walk
 
 
 class TestSegmentWalk:
@@ -266,6 +266,38 @@ class TestBothBranches:
         assert _direct_hits(idx, prev_p, first) == want
         assert _filtered_hits(idx, aug, prev_p, first) == want
         assert match_pattern(idx, None, p) == want
+
+
+class TestTokenLabels:
+    """Token-mode labels equal by value are distinct str objects, so a
+    single child's derived label must be compared by value: a compare by
+    identity passes every char-mode test, where one-character strings are
+    shared objects, but fails here."""
+
+    def test_equals_naive_match(self):
+        rng = random.Random(43)
+        for _ in range(12):
+            raw, alpha = token_text(rng, rng.randint(40, 160))
+            repeat = raw.index(raw[0], 1)
+            assert raw[repeat] == raw[0] and raw[repeat] is not raw[0]
+            text = parse_pstring(raw, alpha)
+            idx = build_index(text)
+            audit_index(idx)
+            assert trees_equal(idx, naive_pph(text))
+            aug = augment(idx)
+            for q in range(12):
+                m = rng.randint(1, 12)
+                i = rng.randint(0, len(raw) - m)
+                window = raw[i:i + m]
+                if q % 2:  # a late mismatch inside a chain of single children
+                    window[-1] = rng.choice(raw)
+                # re-split from a new string: no object shared with the text
+                p = parse_pstring((" " + " ".join(window)).split(), alpha)
+                assert p.symbols[0] is not raw[i]
+                want = naive_match(text, p)
+                assert q % 2 or i + 1 in want
+                assert match_pattern(idx, None, p) == want
+                assert match_pattern(idx, aug, p) == want
 
 
 class TestBareHeapRule:
