@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 bad input symbols or pattern, 2 I/O or index file
 problems or a bad command line, 3 malformed alphabet file, 4 verification
 mismatch or selftest failure. Results go to stdout, diagnostics to stderr.
+Texts and patterns are split and classified only by ``storage`` and
+``coding``, so a pattern is read exactly as its text was.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .coding import Symbol, make_alphabet, parse_pstring, wildcard_parameters
+from .coding import parse_declared
 from .dot import to_dot
 from .errors import (
     AlphabetFormatError,
@@ -27,7 +29,7 @@ from .heap import build_index
 from .matching import match_pattern
 from .oracle import naive_match
 from .selftest import run_selftest
-from .storage import IndexBundle, load, read_alphabet_file, read_utf8, save
+from .storage import IndexBundle, load, read_alphabet_file, read_text_file, save
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -37,32 +39,15 @@ EXIT_ALPHABET = 3
 EXIT_MISMATCH = 4
 
 
-def _read_text_file(path: str, mode: str) -> list[Symbol]:
-    # read without newline translation, so a lone "\r" inside a char-mode
-    # text stays the symbol it is (token mode splits on it either way)
-    content = read_utf8(path, newline="")
-    if mode == "token":
-        return content.split()
-    # char mode: one line of symbols; one trailing "\n" or "\r\n" is not text
-    if content.endswith("\n"):
-        content = content[:-2] if content.endswith("\r\n") else content[:-1]
-    return list(content)
-
-
 def cmd_build(args) -> int:
     constants, parameters = read_alphabet_file(args.alphabet, args.mode)
-    raw = _read_text_file(args.text, args.mode)
-    wildcard = parameters is None
-    if wildcard:
-        parameters = wildcard_parameters(raw, constants)
-    alphabet = make_alphabet(constants, parameters)
-    text = parse_pstring(raw, alphabet)
+    text = parse_declared(read_text_file(args.text, args.mode), constants, parameters)
     # the index file holds only the alphabet and the text, so the
     # augmentation is left to whoever loads it
     started = time.perf_counter()
     idx = build_index(text)
     elapsed = time.perf_counter() - started
-    save(IndexBundle(idx, None, args.mode, wildcard), args.out)
+    save(IndexBundle(idx, None, args.mode, parameters is None), args.out)
     st = idx.stats()
     print(f"n={st.n} nodes={st.node_count} double={st.double_count} "
           f"depth={st.max_depth} build_s={elapsed:.3f}")
@@ -72,13 +57,8 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     bundle = load(args.index)
     idx = bundle.index
-    raw = list(args.pattern) if bundle.mode == "char" else args.pattern.split()
-    alphabet = idx.alphabet
-    if bundle.wildcard:
-        alphabet = make_alphabet(alphabet.constants,
-                                 wildcard_parameters(raw, alphabet.constants))
     try:
-        pattern = parse_pstring(raw, alphabet)
+        pattern = bundle.parse_pattern(args.pattern)
         hits = match_pattern(idx, None, pattern)
     except (UnknownSymbol, EmptyPattern) as exc:
         print(f"bad pattern: {exc}", file=sys.stderr)
@@ -95,21 +75,28 @@ def cmd_query(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    for option, value in (("--trials", args.trials), ("--max-n", args.max_n),
-                          ("--sigma", args.sigma), ("--pi", args.pi)):
-        if value < 0:
-            print(f"error: {option} must not be negative, got {value}", file=sys.stderr)
+    numbers = []
+    for name in ("trials", "max_n", "sigma", "pi", "seed"):
+        option, value = "--" + name.replace("_", "-"), getattr(args, name)
+        try:
+            numbers.append(int(value))
+        except ValueError:
+            print(f"error: {option} must be an integer, got {value!r}", file=sys.stderr)
             return EXIT_USAGE
-    if args.sigma + args.pi > 26:
+        if numbers[-1] < 0 and name != "seed":
+            print(f"error: {option} must not be negative, got {numbers[-1]}", file=sys.stderr)
+            return EXIT_USAGE
+    trials, max_n, sigma, pi, seed = numbers
+    if sigma + pi > 26:
         print(f"error: --sigma plus --pi must be at most 26 (the letters a-z), "
-              f"got {args.sigma + args.pi}", file=sys.stderr)
+              f"got {sigma + pi}", file=sys.stderr)
         return EXIT_USAGE
-    failure = run_selftest(args.trials, args.max_n, args.sigma, args.pi, args.seed)
+    failure = run_selftest(trials, max_n, sigma, pi, seed)
     if failure is not None:
         print(failure.describe(), file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"selftest: {args.trials} trials passed "
-          f"(max_n={args.max_n} sigma={args.sigma} pi={args.pi} seed={args.seed})")
+    print(f"selftest: {trials} trials passed "
+          f"(max_n={max_n} sigma={sigma} pi={pi} seed={seed})")
     return EXIT_OK
 
 
@@ -130,8 +117,34 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+class _Value(argparse.Action):
+    """Store an option's value as given, ``--`` included.
+
+    Before Python 3.13, argparse turns the value of ``--opt=--`` into [];
+    this reads it back as "--". Numbers are converted by their command, so
+    that a bad one is refused on one stderr line on every version.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            values = "--"
+            if self.choices is not None:  # 3.13 checks this before the call
+                choices = ", ".join(map(repr, self.choices))
+                raise argparse.ArgumentError(
+                    self, f"invalid choice: '--' (choose from {choices})")
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose options, and its subcommands', store with ``_Value``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.register("action", None, _Value)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ppheap",
         description="Position-heap indexing and matching for parameterized strings.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,11 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("selftest", help="randomized checks against the oracle")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=64, dest="max_n")
-    p.add_argument("--sigma", type=int, default=2)
-    p.add_argument("--pi", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", default=200)
+    p.add_argument("--max-n", default=64, dest="max_n")
+    p.add_argument("--sigma", default=2)
+    p.add_argument("--pi", default=3)
+    p.add_argument("--seed", default=42)
     p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("export-dot", help="write a Graphviz rendering")

@@ -12,12 +12,14 @@ A p-string is a tuple of raw symbols together with its alphabet; a
 symbol's class is simply whether the alphabet declares it a parameter.
 Encoded labels are represented directly: a constant label is the symbol
 itself (a ``str``), an offset label is a non-negative ``int``. A prev-encoded
-string is a plain tuple of such labels.
+string is a plain tuple of such labels. All input is split into symbols by
+``split_symbols`` and classified by ``parse_declared``, which alone applies
+the wildcard ``parameters *``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     AlphabetFormatError,
@@ -124,13 +126,24 @@ def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
     return PString(symbols, alphabet)
 
 
-def wildcard_parameters(tokens: Iterable[Symbol], constants: Iterable[Symbol]) -> list[Symbol]:
-    """The parameters of the token-mode wildcard ``parameters *``.
+def parse_declared(raw: Sequence[Symbol], constants: Iterable[Symbol],
+                   parameters: Iterable[Symbol] | None) -> PString:
+    """Parse raw symbols; with ``parameters=None`` (the wildcard) every
+    non-constant symbol is a parameter, in order of first appearance."""
+    if parameters is None:
+        declared = set(constants)
+        parameters = [sym for sym in dict.fromkeys(raw) if sym not in declared]
+    return parse_pstring(raw, make_alphabet(constants, parameters))
 
-    Every token that is not a constant, in order of first appearance.
-    """
-    declared = set(constants)
-    return [tok for tok in dict.fromkeys(tokens) if tok not in declared]
+
+def split_symbols(line: str, mode: str) -> list[Symbol]:
+    """Each character in char mode; in token mode, split on Python whitespace."""
+    return list(line) if mode == "char" else line.split()
+
+
+def join_symbols(symbols: Iterable[Symbol], mode: str) -> str:
+    """The inverse of ``split_symbols``."""
+    return ("" if mode == "char" else " ").join(symbols)
 
 
 def prev_encode(w: PString) -> tuple[PrevLabel, ...]:
@@ -164,10 +177,9 @@ def norm(c: PrevLabel, j: int) -> PrevLabel:
 def parse_alphabet_lines(lines: list[str], mode: str) -> tuple[list[Symbol], list[Symbol] | None]:
     """Parse the two-line alphabet description.
 
-    Line 1 is ``constants <symbols>``, line 2 ``parameters <symbols>``; in
-    char mode the symbols are concatenated, in token mode whitespace
-    separated. Returns (constants, parameters) where parameters is None for
-    the token-mode wildcard ``*`` (every undeclared token is a parameter).
+    Line 1 is ``constants <symbols>``, line 2 ``parameters <symbols>``, each
+    split by ``split_symbols``. Returns (constants, parameters) where
+    parameters is None for the token-mode wildcard ``*``.
     """
     if mode not in ("char", "token"):
         raise ValueError(f"mode must be 'char' or 'token', got {mode!r}")
@@ -180,14 +192,10 @@ def parse_alphabet_lines(lines: list[str], mode: str) -> tuple[list[Symbol], lis
         if line != keyword and not line.startswith(keyword + " "):
             raise AlphabetFormatError(f"expected line starting with {keyword!r}: {line!r}")
         rest = line[len(keyword):].lstrip(" ")
-        if not rest:
-            return []
-        if mode == "char":
-            if any(ch.isspace() for ch in rest):
-                raise AlphabetFormatError(
-                    f"whitespace is not a valid char-mode symbol: {line!r}")
-            return list(rest)
-        return rest.split()
+        if mode == "char" and any(ch.isspace() for ch in rest):
+            raise AlphabetFormatError(
+                f"whitespace is not a valid char-mode symbol: {line!r}")
+        return split_symbols(rest, mode)
 
     constants = split_line(body[0], "constants")
     raw_params = split_line(body[1], "parameters")

@@ -1,4 +1,4 @@
-"""Line-oriented on-disk format for indexes and alphabet files.
+"""Line-oriented on-disk format for indexes; readers of text and alphabet files.
 
 An index file holds only what cannot be recomputed: the magic line, the
 mode, the alphabet, the text length, the text, and a SHA-256 checksum of
@@ -9,7 +9,8 @@ Every load checks the header, the checksum, the alphabet and the text
 against its stated length, so a damaged file is rejected with
 IndexFormatError instead of answering queries wrongly. Writing the same
 index always produces byte-identical output, and a load/save round trip
-reproduces the input exactly.
+reproduces the input exactly. Text files, index text lines and patterns
+(``IndexBundle.parse_pattern``) are all split by ``coding.split_symbols``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from pathlib import Path
 from .augment import Augmentation, augment
 from .coding import (
     Alphabet,
+    PString,
     Symbol,
-    make_alphabet,
+    join_symbols,
     parse_alphabet_lines,
+    parse_declared,
     parse_pstring,
-    wildcard_parameters,
+    split_symbols,
 )
 from .errors import IndexFormatError, InputEncodingError, PPHeapError
 from .heap import PPHIndex, build_index
@@ -58,6 +61,13 @@ class IndexBundle:
             self._augmentation = augment(self.index)
         return self._augmentation
 
+    def parse_pattern(self, s: str) -> PString:
+        """Split a pattern as the index's text was split, and parse it."""
+        raw, alphabet = split_symbols(s, self.mode), self.index.alphabet
+        if self.wildcard:
+            return parse_declared(raw, alphabet.constants, None)
+        return parse_pstring(raw, alphabet)
+
 
 def _check_symbols(alphabet: Alphabet, mode: str) -> None:
     for sym in alphabet.constants + alphabet.parameters:
@@ -70,10 +80,7 @@ def _check_symbols(alphabet: Alphabet, mode: str) -> None:
 
 
 def _symbols_line(keyword: str, symbols: tuple[Symbol, ...], mode: str) -> str:
-    if not symbols:
-        return keyword
-    joined = "".join(symbols) if mode == "char" else " ".join(symbols)
-    return f"{keyword} {joined}"
+    return f"{keyword} {join_symbols(symbols, mode)}" if symbols else keyword
 
 
 def _checksum_line(body: str) -> str:
@@ -96,14 +103,13 @@ def dumps(bundle: IndexBundle) -> str:
         raise IndexFormatError("a lone '*' parameter would read back as the wildcard")
     else:
         parameters = _symbols_line("parameters", idx.alphabet.parameters, mode)
-    sep = "" if mode == "char" else " "
     body = "\n".join((
         MAGIC,
         f"mode {mode}",
         _symbols_line("constants", idx.alphabet.constants, mode),
         parameters,
         f"n {idx.n}",
-        sep.join(idx.text.symbols),
+        join_symbols(idx.text.symbols, mode),
     )) + "\n"
     return body + _checksum_line(body) + "\n"
 
@@ -132,20 +138,16 @@ def loads(data: str) -> IndexBundle:
     except PPHeapError as exc:
         raise IndexFormatError(f"bad alphabet section: {exc}") from None
 
-    raw = list(text_line) if mode == "char" else text_line.split()
+    raw = split_symbols(text_line, mode)
     if n_line != f"n {len(raw)}":
         raise IndexFormatError(
             f"text length line {n_line[:24]!r} does not match the {len(raw)}-symbol text")
 
-    wildcard = parameters is None
-    if wildcard:
-        parameters = wildcard_parameters(raw, constants)
     try:
-        text = parse_pstring(raw, make_alphabet(constants, parameters))
+        text = parse_declared(raw, constants, parameters)
     except PPHeapError as exc:
         raise IndexFormatError(f"text does not conform to alphabet: {exc}") from None
-    idx = build_index(text)
-    return IndexBundle(idx, None, mode, wildcard)
+    return IndexBundle(build_index(text), None, mode, parameters is None)
 
 
 def save(bundle: IndexBundle, path) -> None:
@@ -172,6 +174,15 @@ def read_utf8(path, newline: str | None = None) -> str:
     except UnicodeDecodeError as exc:
         raise InputEncodingError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_text_file(path, mode: str) -> list[Symbol]:
+    """The symbols of a text file; one trailing line end is not text."""
+    # no newline translation: a lone "\r" in a char-mode text is a symbol
+    content = read_utf8(path, newline="")
+    if content.endswith("\n"):
+        content = content[:-2] if content.endswith("\r\n") else content[:-1]
+    return split_symbols(content, mode)
 
 
 def read_alphabet_file(path, mode: str) -> tuple[list[Symbol], list[Symbol] | None]:

@@ -9,7 +9,7 @@ import pytest
 from ppheap import matching, storage
 from ppheap.augment import augment
 from ppheap.cli import main
-from ppheap.coding import make_alphabet, parse_pstring
+from ppheap.coding import make_alphabet, parse_declared, parse_pstring
 from ppheap.oracle import naive_match
 
 # an index written by the previous file format, which this version refuses
@@ -331,6 +331,74 @@ class TestQuery:
         with pytest.raises(SystemExit) as info:
             main(["query", "--index", str(tmp_path / "t.pph"), "--pattern", "-x"])
         assert info.value.code == 2
+
+
+    def test_token_split_on_unicode_whitespace(self, tmp_path, capsys):
+        """Text and pattern are split alike, whatever whitespace separates them."""
+        (tmp_path / "alpha.txt").write_text("constants for in : =\nparameters *\n",
+                                            encoding="utf-8")
+        text = "for\ti  in\u3000total\t:  x\u3000for  j\tin\u3000count  =\tj\n"
+        (tmp_path / "code.txt").write_text(text, encoding="utf-8")
+        code, _, _ = run(["build", "--text", str(tmp_path / "code.txt"),
+                          "--alphabet", str(tmp_path / "alpha.txt"),
+                          "--mode", "token", "--out", str(tmp_path / "c.pph")], capsys)
+        assert code == 0
+        pattern = "for\u00a0k\u00a0in\u00a0n"
+        code, out, err = run(["query", "--index", str(tmp_path / "c.pph"),
+                              "--pattern", pattern, "--verify"], capsys)
+        consts = ["for", "in", ":", "="]
+        want = naive_match(parse_declared(text.split(), consts, None),
+                           parse_declared(pattern.split(), consts, None))
+        assert (code, err) == (0, "")
+        assert out.split() == [str(i) for i in want] == ["1", "7"]
+
+
+class TestDoubleDashValue:
+    """``--opt=--`` gives the option the value "--" on every Python.
+
+    argparse before 3.13 turns that value into []; 3.13 keeps it.
+    """
+
+    @pytest.fixture
+    def dash_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "alpha.txt").write_text("constants ab-\nparameters xy\n")
+        (tmp_path / "t.txt").write_text("x-y--x\n")
+        (tmp_path / "tok-alpha.txt").write_text("constants -- ;\nparameters *\n")
+        (tmp_path / "tok.txt").write_text("x -- y ; -- x\n")
+        for text, alpha, mode, out in (("t.txt", "alpha.txt", "char", "c.pph"),
+                                       ("tok.txt", "tok-alpha.txt", "token", "k.pph")):
+            code, _, _ = run(["build", "--text", text, "--alphabet", alpha,
+                              "--mode", mode, "--out", out], capsys)
+            assert code == 0
+        (tmp_path / "--").write_bytes((tmp_path / "c.pph").read_bytes())
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, want_code, want_out", [
+        # naive_match of the char pattern "--" in x-y--x
+        (["query", "--index", "c.pph", "--pattern=--", "--verify"], 0, "4\n"),
+        # the token "--" in x -- y ; -- x
+        (["query", "--index", "k.pph", "--pattern=--", "--verify"], 0, "2\n5\n"),
+        # the index file named "--"
+        (["stats", "--index=--"], 0, "n=6\nnodes=6\ndouble=1\ndepth=2\n"),
+        (["selftest", "--trials=--"], 2, ""),
+    ], ids=["char-pattern", "token-pattern", "file", "int"])
+    def test_value_is_double_dash(self, dash_dir, capsys, argv, want_code, want_out):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (want_code, want_out)
+        if want_code:
+            assert err.count("\n") == 1 and "--trials" in err and "'--'" in err
+        else:
+            assert err == ""
+
+    def test_choice_refuses_double_dash(self, dash_dir, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["build", "--text", "t.txt", "--alphabet", "alpha.txt",
+                  "--mode=--", "--out", "x.pph"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--mode: invalid choice: '--'" in err and "Traceback" not in err
+        assert not (dash_dir / "x.pph").exists()
 
 
 class TestLazyAugmentation:

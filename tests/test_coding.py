@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from ppheap.coding import make_alphabet, norm, parse_alphabet_lines, parse_pstring, prev_encode
+from ppheap.coding import (
+    join_symbols,
+    make_alphabet,
+    norm,
+    parse_alphabet_lines,
+    parse_declared,
+    parse_pstring,
+    prev_encode,
+    split_symbols,
+)
 from ppheap.errors import (
     AlphabetFormatError,
     DuplicateSymbol,
@@ -245,3 +254,54 @@ class TestAlphabetLines:
     def test_malformed(self, lines):
         with pytest.raises(AlphabetFormatError):
             parse_alphabet_lines(lines, "char")
+
+
+class TestParseDeclared:
+    """The one place that classifies raw symbols, the wildcard included."""
+
+    def test_wildcard_parameters_in_order_of_first_appearance(self):
+        w = parse_declared("for j in i j k i".split(), ["for", "in"], None)
+        assert w.alphabet.constants == ("for", "in")
+        assert w.alphabet.parameters == ("j", "i", "k")
+        assert w.symbols == ("for", "j", "in", "i", "j", "k", "i")
+
+    def test_wildcard_excludes_a_leading_constant(self):
+        w = parse_declared(["=", "x", "=", "y", "x"], ["="], None)
+        assert w.alphabet.parameters == ("x", "y")
+        assert prev_encode(w) == ("=", 0, "=", 0, 3)
+
+    def test_wildcard_on_constants_only(self):
+        w = parse_declared(["a", "b", "a"], ["a", "b", "c"], None)
+        assert w.alphabet.parameters == ()
+        assert w.alphabet.constants == ("a", "b", "c")
+
+    def test_explicit_parameters_keep_their_order(self):
+        w = parse_declared(list("yaxy"), ["a"], ["x", "y", "z"])
+        assert w.alphabet == make_alphabet(["a"], ["x", "y", "z"])
+        assert w.symbols == ("y", "a", "x", "y")
+
+    def test_explicit_unknown_symbol_names_its_position(self):
+        with pytest.raises(UnknownSymbol) as info:
+            parse_declared(list("xayqa"), ["a"], ["x", "y"])
+        assert info.value.position == 4
+        assert info.value.symbol == "q"
+
+    def test_explicit_overlap_still_refused(self):
+        with pytest.raises(OverlappingAlphabet):
+            parse_declared(list("xa"), ["a", "x"], ["x"])
+
+
+class TestSplitSymbols:
+    @pytest.mark.parametrize("mode", ["char", "token"])
+    def test_empty_line_has_no_symbols(self, mode):
+        assert split_symbols("", mode) == []
+        assert join_symbols([], mode) == ""
+
+    def test_char_mode_keeps_every_character(self):
+        assert split_symbols("a b\t\u3000", "char") == ["a", " ", "b", "\t", "\u3000"]
+        assert join_symbols(["a", " ", "b"], "char") == "a b"
+
+    @pytest.mark.parametrize("sep", ["\t", "  ", "\u3000", "\u00a0"],
+                             ids=["tab", "double-space", "U+3000", "U+00A0"])
+    def test_token_mode_splits_on_unicode_whitespace(self, sep):
+        assert split_symbols(f"{sep}for{sep}i{sep}in x{sep}", "token") == ["for", "i", "in", "x"]
