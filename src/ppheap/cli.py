@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .coding import parse_declared
+from .coding import MODES, parse_declared
 from .dot import to_dot
 from .errors import (
     AlphabetFormatError,
@@ -63,8 +63,7 @@ def cmd_query(args) -> int:
     except (UnknownSymbol, EmptyPattern) as exc:
         print(f"bad pattern: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    for i in hits:
-        print(i)
+    sys.stdout.write("".join(f"{i}\n" for i in hits))
     if args.verify:
         want = naive_match(idx.text, pattern)
         if hits != want:
@@ -152,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="index a text file")
     p.add_argument("--text", required=True, help="text file to index")
     p.add_argument("--alphabet", required=True, help="alphabet description file")
-    p.add_argument("--mode", choices=("char", "token"), default="char")
+    p.add_argument("--mode", choices=MODES, default="char")
     p.add_argument("--out", required=True, help="index file to write")
     p.set_defaults(func=cmd_build)
 

@@ -15,6 +15,10 @@ itself (a ``str``), an offset label is a non-negative ``int``. A prev-encoded
 string is a plain tuple of such labels. All input is split into symbols by
 ``split_symbols`` and classified by ``parse_declared``, which alone applies
 the wildcard ``parameters *``.
+
+``parse_alphabet_lines`` and its inverse ``format_alphabet_lines`` own the
+alphabet lines: a keyword, then any whitespace and the symbols. Whitespace
+around the symbols is not a symbol; among char-mode symbols it is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .errors import (
 
 Symbol = str
 PrevLabel = Union[str, int]
+
+MODES = ("char", "token")
+KEYWORDS = ("constants", "parameters")  # the alphabet lines, in order
+WILDCARD = "*"
 
 
 class Alphabet:
@@ -174,31 +182,53 @@ def norm(c: PrevLabel, j: int) -> PrevLabel:
     return c
 
 
-def parse_alphabet_lines(lines: list[str], mode: str) -> tuple[list[Symbol], list[Symbol] | None]:
-    """Parse the two-line alphabet description.
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
-    Line 1 is ``constants <symbols>``, line 2 ``parameters <symbols>``, each
-    split by ``split_symbols``. Returns (constants, parameters) where
-    parameters is None for the token-mode wildcard ``*``.
-    """
-    if mode not in ("char", "token"):
-        raise ValueError(f"mode must be 'char' or 'token', got {mode!r}")
+
+def parse_alphabet_lines(lines: list[str], mode: str) -> tuple[list[Symbol], list[Symbol] | None]:
+    """(constants, parameters) from the two alphabet lines; parameters is
+    None for the token-mode wildcard."""
+    _check_mode(mode)
     body = [ln for ln in lines if ln.strip() != ""]
     if len(body) != 2:
         raise AlphabetFormatError(
             f"expected exactly 2 lines (constants, parameters), got {len(body)}")
 
     def split_line(line: str, keyword: str) -> list[Symbol]:
-        if line != keyword and not line.startswith(keyword + " "):
+        rest = line[len(keyword):]  # empty, or whitespace first
+        if not line.startswith(keyword) or rest[:1].strip():
             raise AlphabetFormatError(f"expected line starting with {keyword!r}: {line!r}")
-        rest = line[len(keyword):].lstrip(" ")
+        rest = rest.strip()
         if mode == "char" and any(ch.isspace() for ch in rest):
             raise AlphabetFormatError(
                 f"whitespace is not a valid char-mode symbol: {line!r}")
         return split_symbols(rest, mode)
 
-    constants = split_line(body[0], "constants")
-    raw_params = split_line(body[1], "parameters")
-    if mode == "token" and raw_params == ["*"]:
+    constants, parameters = map(split_line, body, KEYWORDS)
+    if mode == "token" and parameters == [WILDCARD]:
         return constants, None
-    return constants, raw_params
+    return constants, parameters
+
+
+def format_alphabet_lines(constants: Sequence[Symbol], parameters: Sequence[Symbol],
+                          mode: str, wildcard: bool = False) -> list[str]:
+    """The inverse of ``parse_alphabet_lines``; with ``wildcard`` the
+    ``parameters`` are checked, not written. Raises AlphabetFormatError for
+    an alphabet the lines cannot give back, a lone ``*`` parameter in token
+    mode included, since it would read back as the wildcard."""
+    _check_mode(mode)
+    for sym in (*constants, *parameters):
+        if sym.split() != [sym] or (mode == "char" and len(sym) != 1):
+            raise AlphabetFormatError(
+                f"symbol {sym!r} cannot be stored in a {mode}-mode alphabet line")
+    if wildcard:
+        if mode != "token":
+            raise AlphabetFormatError("the wildcard parameter set requires token mode")
+        parameters = (WILDCARD,)
+    elif mode == "token" and tuple(parameters) == (WILDCARD,):
+        raise AlphabetFormatError(
+            f"a lone {WILDCARD!r} parameter would read back as the wildcard")
+    return [f"{keyword} {join_symbols(symbols, mode)}" if symbols else keyword
+            for keyword, symbols in zip(KEYWORDS, (constants, parameters))]

@@ -14,17 +14,12 @@ class OverlappingAlphabet(PPHeapError):
 
 
 class UnknownSymbol(PPHeapError):
-    """A symbol does not belong to the alphabet in use.
+    """A symbol does not belong to the alphabet in use at a 1-based ``position``."""
 
-    ``position`` is the 1-based position of the offending symbol when the
-    source sequence is known, else None.
-    """
-
-    def __init__(self, symbol, position=None):
+    def __init__(self, symbol, position):
         self.symbol = symbol
         self.position = position
-        where = f" at position {position}" if position is not None else ""
-        super().__init__(f"unknown symbol {symbol!r}{where}")
+        super().__init__(f"unknown symbol {symbol!r} at position {position}")
 
 
 class InvalidNode(PPHeapError):

@@ -10,7 +10,8 @@ against its stated length, so a damaged file is rejected with
 IndexFormatError instead of answering queries wrongly. Writing the same
 index always produces byte-identical output, and a load/save round trip
 reproduces the input exactly. Text files, index text lines and patterns
-(``IndexBundle.parse_pattern``) are all split by ``coding.split_symbols``.
+(``IndexBundle.parse_pattern``) are all split by ``coding.split_symbols``;
+the alphabet lines are read and written by ``coding`` alone.
 """
 
 from __future__ import annotations
@@ -20,16 +21,17 @@ from pathlib import Path
 
 from .augment import Augmentation, augment
 from .coding import (
-    Alphabet,
+    MODES,
     PString,
     Symbol,
+    format_alphabet_lines,
     join_symbols,
     parse_alphabet_lines,
     parse_declared,
     parse_pstring,
     split_symbols,
 )
-from .errors import IndexFormatError, InputEncodingError, PPHeapError
+from .errors import AlphabetFormatError, IndexFormatError, InputEncodingError, PPHeapError
 from .heap import PPHIndex, build_index
 
 MAGIC = "PPH/2"
@@ -41,9 +43,9 @@ class IndexBundle:
 
     ``augmentation`` may be given as None: it is then computed from the
     index on first read, and code that never reads it never pays for it.
-    ``wildcard`` marks a token-mode index built with ``parameters *``: the
-    file stores the wildcard itself, and queries treat every non-constant
-    pattern token as a parameter.
+    ``wildcard`` marks a token-mode index built with the wildcard parameter
+    set: the file stores the wildcard itself, and queries treat every
+    non-constant pattern token as a parameter.
     """
 
     __slots__ = ("index", "_augmentation", "mode", "wildcard")
@@ -69,20 +71,6 @@ class IndexBundle:
         return parse_pstring(raw, alphabet)
 
 
-def _check_symbols(alphabet: Alphabet, mode: str) -> None:
-    for sym in alphabet.constants + alphabet.parameters:
-        if sym == "" or any(ch.isspace() for ch in sym):
-            raise IndexFormatError(
-                f"symbol {sym!r} cannot be stored in the line format")
-        if mode == "char" and len(sym) != 1:
-            raise IndexFormatError(
-                f"char mode requires single-character symbols, got {sym!r}")
-
-
-def _symbols_line(keyword: str, symbols: tuple[Symbol, ...], mode: str) -> str:
-    return f"{keyword} {join_symbols(symbols, mode)}" if symbols else keyword
-
-
 def _checksum_line(body: str) -> str:
     # surrogatepass: a str handed to loads may hold lone surrogates
     return "sha256 " + hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
@@ -90,27 +78,14 @@ def _checksum_line(body: str) -> str:
 
 def dumps(bundle: IndexBundle) -> str:
     """Serialize a bundle to the versioned line format."""
-    idx = bundle.index
-    mode = bundle.mode
-    if mode not in ("char", "token"):
-        raise IndexFormatError(f"mode must be 'char' or 'token', got {mode!r}")
-    _check_symbols(idx.alphabet, mode)
-    if bundle.wildcard:
-        if mode != "token":
-            raise IndexFormatError("the wildcard parameter set requires token mode")
-        parameters = "parameters *"
-    elif mode == "token" and idx.alphabet.parameters == ("*",):
-        raise IndexFormatError("a lone '*' parameter would read back as the wildcard")
-    else:
-        parameters = _symbols_line("parameters", idx.alphabet.parameters, mode)
-    body = "\n".join((
-        MAGIC,
-        f"mode {mode}",
-        _symbols_line("constants", idx.alphabet.constants, mode),
-        parameters,
-        f"n {idx.n}",
-        join_symbols(idx.text.symbols, mode),
-    )) + "\n"
+    idx, mode = bundle.index, bundle.mode
+    try:
+        alphabet_lines = format_alphabet_lines(
+            idx.alphabet.constants, idx.alphabet.parameters, mode, bundle.wildcard)
+    except (AlphabetFormatError, ValueError) as exc:
+        raise IndexFormatError(str(exc)) from None
+    body = "\n".join((MAGIC, f"mode {mode}", *alphabet_lines,
+                      f"n {idx.n}", join_symbols(idx.text.symbols, mode))) + "\n"
     return body + _checksum_line(body) + "\n"
 
 
@@ -129,9 +104,9 @@ def loads(data: str) -> IndexBundle:
     if checksum != _checksum_line(data[:-len(checksum) - 1]):
         raise IndexFormatError("checksum mismatch: the file is damaged")
 
-    if mode_line not in ("mode char", "mode token"):
+    keyword, _, mode = mode_line.partition(" ")
+    if keyword != "mode" or mode not in MODES:
         raise IndexFormatError(f"bad mode line {mode_line!r}")
-    mode = mode_line[5:]
     try:
         constants, parameters = parse_alphabet_lines(
             [constants_line, parameters_line], mode)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import importlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppheap import matching, storage
 from ppheap.augment import augment
 from ppheap.cli import main
-from ppheap.coding import make_alphabet, parse_declared, parse_pstring
+from ppheap.coding import MODES, make_alphabet, parse_declared, parse_pstring
 from ppheap.oracle import naive_match
 
 # an index written by the previous file format, which this version refuses
@@ -212,6 +214,38 @@ class TestBuild:
             "--mode", "token", "--out", str(tmp_path / "c.pph")], capsys)
         assert code == 0
         assert "n=7" in out
+
+    @pytest.mark.parametrize("mode,alphabet,sep,text,pattern", [
+        ("token", "constants{}for in\nparameters *\n", "\t",
+         "for i in xs for j in ys\n", "for k in zs"),
+        ("char", "constants ab\nparameters{}xy\n", "\t", "xaybyaxb\n", "yaxb"),
+        ("token", "constants{}for in\nparameters *\n", "\u3000",
+         "for i in xs for j in ys\n", "for k in zs"),
+    ], ids=["token-tab", "char-tab", "token-U+3000"])
+    def test_any_whitespace_after_keyword(self, tmp_path, capsys, mode, alphabet, sep,
+                                          text, pattern):
+        """Built and answered as with one space after the keyword."""
+        (tmp_path / "text.txt").write_text(text, encoding="utf-8")
+        answers = []
+        for name, after in (("odd", sep), ("plain", " ")):
+            (tmp_path / "alpha.txt").write_text(alphabet.format(after), encoding="utf-8")
+            index = tmp_path / f"{name}.pph"
+            code, _, err = run(["build", "--text", str(tmp_path / "text.txt"),
+                                "--alphabet", str(tmp_path / "alpha.txt"),
+                                "--mode", mode, "--out", str(index)], capsys)
+            assert (code, err) == (0, "")
+            answers.append(run(["query", "--index", str(index), "--pattern", pattern,
+                                "--verify"], capsys))
+        assert (tmp_path / "odd.pph").read_bytes() == (tmp_path / "plain.pph").read_bytes()
+        assert answers[0] == answers[1] == (0, "1\n5\n", "")
+
+    def test_whitespace_among_char_symbols_exits_3(self, workspace, capsys):
+        (workspace / "alpha.txt").write_text("constants a\tb\nparameters uvxy\n")
+        code, out, err = run(["build", "--text", str(workspace / "text.txt"),
+                              "--alphabet", str(workspace / "alpha.txt"),
+                              "--out", str(workspace / "x.pph")], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "whitespace" in err
 
 
 class TestQuery:
@@ -554,3 +588,72 @@ class TestSelftest:
         assert out == ""
         assert err.count("\n") == 1 and option in err
         assert "Traceback" not in err
+
+
+# single symbol characters: multi-byte ones, "*", a carriage return (which
+# is whitespace), and non-whitespace neighbours of Unicode whitespace
+POOL = ["a", "b", "\u00e9", "\u65e5", "\U0001d465", "*", "\r", "\x1b", "\x84",
+        "\xa1", "\u180e", "\u200b", "\u202a", "\u2030", "\u2060", "\u3001"]
+
+
+@st.composite
+def file_inputs(draw):
+    """Mode, constants, parameters, wildcard, text, patterns and the
+    whitespace after each alphabet keyword."""
+    mode = draw(st.sampled_from(MODES))
+    symbol = (st.sampled_from(POOL) if mode == "char"
+              else st.text(st.sampled_from(POOL), min_size=1, max_size=2))
+    symbols = draw(st.lists(symbol, min_size=1, max_size=6, unique=True))
+    cut = draw(st.integers(0, len(symbols)))
+    wildcard = mode == "token" and draw(st.booleans())
+    text = draw(st.lists(st.sampled_from(symbols), max_size=24))
+    start = draw(st.integers(0, len(text)))
+    window = text[start:start + draw(st.integers(1, 4))]
+    other = draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from(["\t", "\u3000", " "]), min_size=2, max_size=2))
+    return (mode, symbols[:cut], symbols[cut:], wildcard, text,
+            [p for p in (window, other) if p], seps)
+
+
+class TestFilePathProperty:
+    """Text and alphabet files through ``build`` and ``query``.
+
+    With every symbol storable, each answer is ``naive_match``'s. A carriage
+    return in a symbol is whitespace, so the files cannot hold that symbol:
+    the run then either refuses on one stderr line with exit 1-3, or reads
+    the files by the whitespace rule into an index that answers as
+    ``--verify`` checks. Either way ``dumps(load(f))`` is the file.
+    """
+
+    # every example rewrites the files, and run() reads capsys empty
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(file_inputs())
+    def test_files_answer_as_naive_match(self, tmp_path, capsys, case):
+        mode, constants, parameters, wildcard, text, patterns, seps = case
+        join = ("" if mode == "char" else " ").join
+        alphabet = (f"constants{seps[0]}{join(constants)}\n"
+                    f"parameters{seps[1]}{'*' if wildcard else join(parameters)}\n")
+        (tmp_path / "alpha.txt").write_bytes(alphabet.encode("utf-8"))
+        (tmp_path / "text.txt").write_bytes((join(text) + "\n").encode("utf-8"))
+        index = tmp_path / "index.pph"
+        code, out, err = run(["build", "--text", str(tmp_path / "text.txt"),
+                              "--alphabet", str(tmp_path / "alpha.txt"),
+                              "--mode", mode, "--out", str(index)], capsys)
+        storable = not any("\r" in sym for sym in constants + parameters)
+        if code != 0:
+            assert not storable, err
+            assert code in (1, 2, 3) and out == "" and err.count("\n") == 1, err
+            return
+        assert err == ""
+        assert storage.dumps(storage.load(index)).encode("utf-8") == index.read_bytes()
+        declared = make_alphabet(constants, parameters)
+        for pattern in patterns:
+            code, out, err = run(["query", "--index", str(index),
+                                  f"--pattern={join(pattern)}", "--verify"], capsys)
+            if storable:
+                want = naive_match(parse_pstring(text, declared),
+                                   parse_pstring(pattern, declared))
+                assert (code, out, err) == (0, "".join(f"{i}\n" for i in want), "")
+            else:
+                assert code in (0, 1) and err.count("\n") == code, err

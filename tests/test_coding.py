@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppheap.coding import (
+    MODES,
+    format_alphabet_lines,
     join_symbols,
     make_alphabet,
     norm,
@@ -245,15 +249,69 @@ class TestAlphabetLines:
         assert consts == ["a", "b"]
         assert params == []
 
+    @pytest.mark.parametrize("lines, mode, want", [
+        (["constants\tfor in", "parameters *"], "token", (["for", "in"], None)),
+        (["constants\u3000for in", "parameters\u3000i"], "token", (["for", "in"], ["i"])),
+        (["constants ab", "parameters\txy"], "char", (["a", "b"], ["x", "y"])),
+        (["constants\t ab \u3000", "parameters\t"], "char", (["a", "b"], [])),
+    ], ids=["token-tab", "token-U+3000", "char-tab", "char-around"])
+    def test_any_whitespace_after_keyword(self, lines, mode, want):
+        assert parse_alphabet_lines(lines, mode) == want
+
     @pytest.mark.parametrize("lines", [
         ["constants ab"],
         ["parameters xy", "constants ab"],
         ["constants ab", "parameters xy", "extra line"],
         ["wrong ab", "parameters xy"],
+        ["constantsab", "parameters xy"],
+        ["constants a\tb", "parameters xy"],
     ])
     def test_malformed(self, lines):
         with pytest.raises(AlphabetFormatError):
             parse_alphabet_lines(lines, "char")
+
+
+# symbols made of these read back; one drawn from WHITESPACE may not
+STORABLE = ["a", "b", "\u00e9", "*", "\x84", "\u3001"]
+WHITESPACE = [" ", "\t", "\r", "\u3000", "\x85"]
+
+
+def reads_back(sym: str, mode: str) -> bool:
+    return sym != "" and not any(ch.isspace() for ch in sym) and (
+        mode == "token" or len(sym) == 1)
+
+
+class TestFormatAlphabetLines:
+    """``format_alphabet_lines`` writes what ``parse_alphabet_lines`` reads back."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(mode=st.sampled_from(MODES), wildcard=st.booleans(),
+           symbols=st.lists(st.text(st.sampled_from(STORABLE), min_size=1, max_size=2),
+                            max_size=5, unique=True),
+           odd=st.none() | st.text(st.sampled_from(STORABLE + WHITESPACE), max_size=2),
+           cut=st.integers(0, 6))
+    def test_round_trip_or_refusal(self, mode, wildcard, symbols, odd, cut):
+        if odd is not None and odd not in symbols:
+            symbols.insert(cut, odd)
+        constants, parameters = symbols[:cut], symbols[cut:]
+        storable = (all(reads_back(sym, mode) for sym in symbols)
+                    and (mode == "token" or not wildcard)
+                    and (wildcard or mode == "char" or parameters != ["*"]))
+        try:
+            lines = format_alphabet_lines(constants, parameters, mode, wildcard)
+        except AlphabetFormatError:
+            assert not storable
+        else:
+            assert storable
+            assert parse_alphabet_lines(lines, mode) == (
+                constants, None if wildcard else parameters)
+
+    def test_lines(self):
+        assert format_alphabet_lines(["a", "b"], [], "char") == ["constants ab", "parameters"]
+        assert format_alphabet_lines(["for", "in"], ["i", "*"], "token") == [
+            "constants for in", "parameters i *"]
+        assert format_alphabet_lines([], ["i"], "token", wildcard=True) == [
+            "constants", "parameters *"]
 
 
 class TestParseDeclared:

@@ -127,6 +127,21 @@ class TestValidation:
         with pytest.raises(IndexFormatError, match="alphabet"):
             loads(bad)
 
+    @pytest.mark.parametrize("line", ["mode chars", "mode  char", "mode", "modechar"])
+    def test_bad_mode_line(self, ab_uvxy, line):
+        blob = dumps(make_bundle("uvau", ab_uvxy))
+        bad = reseal(blob.replace("\nmode char\n", f"\n{line}\n", 1))
+        with pytest.raises(IndexFormatError, match="mode line"):
+            loads(bad)
+
+    @pytest.mark.parametrize("line", ["constantsab", "constants a b"],
+                             ids=["no-space-after-keyword", "char-interior-space"])
+    def test_malformed_constants_line(self, ab_uvxy, line):
+        blob = dumps(make_bundle("uvau", ab_uvxy))
+        bad = reseal(blob.replace("\nconstants ab\n", f"\n{line}\n", 1))
+        with pytest.raises(IndexFormatError, match="bad alphabet section"):
+            loads(bad)
+
     def test_unknown_text_symbol(self, ab_uvxy):
         blob = dumps(make_bundle("uvau", ab_uvxy))
         bad = reseal(blob.replace("\nuvau\n", "\nuvaz\n", 1))
@@ -152,6 +167,16 @@ class TestValidation:
         # char mode has no wildcard: '*' is an ordinary symbol there
         with pytest.raises(IndexFormatError):
             dumps(IndexBundle(idx, augment(idx), "char", wildcard=True))
+
+    def test_unknown_mode_not_written(self, ab_uvxy):
+        with pytest.raises(IndexFormatError, match="mode must be"):
+            dumps(make_bundle("uv", ab_uvxy, mode="chars"))
+
+    def test_unstorable_inferred_parameter_rejected(self):
+        """The wildcard's parameters are not written, but must read back."""
+        idx = build_audited(["for", "a b"], make_alphabet(["for"], ["a b"]))
+        with pytest.raises(IndexFormatError, match="'a b'"):
+            dumps(IndexBundle(idx, None, "token", wildcard=True))
 
 
 # (mode, alphabet file, text file, patterns) for the hostile-file tests
