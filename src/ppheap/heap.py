@@ -65,12 +65,11 @@ class PPHIndex:
     queries over it are safe.
     """
 
-    __slots__ = ("alphabet", "text", "prev_text", "parents", "depths",
+    __slots__ = ("text", "prev_text", "parents", "depths",
                  "children", "secondaries", "suffixes")
 
-    def __init__(self, alphabet, text, prev_text, parents, depths,
+    def __init__(self, text, prev_text, parents, depths,
                  children, secondaries, suffixes):
-        self.alphabet: Alphabet = alphabet
         self.text: PString = text
         self.prev_text: tuple[PrevLabel, ...] = prev_text
         self.parents: array = parents
@@ -78,6 +77,10 @@ class PPHIndex:
         self.children: list[int | dict | None] = children
         self.secondaries: dict[int, int] = secondaries
         self.suffixes: array = suffixes
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.text.alphabet
 
     @property
     def n(self) -> int:
@@ -276,7 +279,7 @@ class Builder:
             cur = suffixes[cur]
             spos += 1
         text = PString(tuple(self._symbols), self.alphabet)
-        return PPHIndex(self.alphabet, text, tuple(self._prev),
+        return PPHIndex(text, tuple(self._prev),
                         array("i", self._parents),
                         array("i", self._depths), self._children, secondaries,
                         array("i", suffixes))

@@ -1,12 +1,12 @@
 """Randomized cross-validation of the fast paths against the oracle.
 
-Each trial builds an index online, audits its invariants, compares its
-structure and reach pointers against the brute-force rebuilds, and checks
-three pattern queries, with and without the augmentation, against the
-naive matcher. A pattern is a short text window, a long one (up to the
-whole text, sometimes with one symbol of its second half changed), or
-random symbols. Failures are shrunk by greedy symbol deletion before they
-are reported, to a case as small as plain deletion can make it.
+Each trial draws a random text of the next of the six ``SHAPES``, builds an
+index online, audits its invariants, compares its structure and reach
+pointers with the brute-force rebuilds, and checks three queries, with and
+without the augmentation, against the naive matcher: a short text window, a
+long one (up to the whole text, sometimes with a symbol of its second half
+changed), or random symbols. A failure is shrunk by greedy symbol deletion
+and reported with the command that reproduces it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,18 @@ from .heap import audit_index, build_index
 from .matching import match_pattern
 from .oracle import naive_match, naive_mrp, naive_pph, trees_equal
 
+# (constants, parameters, most symbols): each reaches branches the others rarely do
+SHAPES = (
+    (2, 3, 64),   # the general case: short texts, few of each symbol class
+    (1, 1, 128),  # repetitive texts: many whole-encoding queries
+    (4, 4, 200),  # leaf-heavy heaps, where the reach sweep skips most positions
+    (0, 1, 256),  # chain heaps n/2 deep: bare-heap queries take both matcher branches
+    # long windows of repetitive texts, some changed late: the bare-heap rule sends them to
+    # the augmentation, whose filter walks segments until few candidates are left to check
+    (1, 2, 400),
+    (2, 0, 256),  # constants only: every label, a single child's too, is a str
+)
+
 
 @dataclass(slots=True)
 class TrialFailure:
@@ -30,6 +42,7 @@ class TrialFailure:
 
     kind: str
     trial: int
+    seed: int
     constants: tuple[Symbol, ...]
     parameters: tuple[Symbol, ...]
     text: list[Symbol]
@@ -45,7 +58,8 @@ class TrialFailure:
         ]
         if self.pattern is not None:
             lines.append(f"  pattern:    {' '.join(self.pattern)}")
-        lines.append(f"  {self.detail}")
+        lines += [f"  {self.detail}",
+                  f"  reproduce: ppheap selftest --trials {self.trial} --seed {self.seed}"]
         return "\n".join(lines)
 
 
@@ -53,10 +67,8 @@ def letters_alphabet(sigma: int, pi: int) -> Alphabet:
     """Alphabet over lowercase letters: constants from the front, parameters from the back."""
     if sigma < 0 or pi < 0 or sigma + pi > 26:
         raise ValueError("need sigma >= 0, pi >= 0, sigma + pi <= 26")
-    pool = string.ascii_lowercase
-    constants = list(pool[:sigma])
-    parameters = list(pool[26 - pi:]) if pi else []
-    return make_alphabet(constants, parameters)
+    letters = string.ascii_lowercase
+    return make_alphabet(letters[:sigma], letters[26 - pi:])
 
 
 def _structure_problem(alphabet: Alphabet, text_syms: list[Symbol]) -> Optional[str]:
@@ -110,30 +122,30 @@ def _shrink_text(text_syms: list[Symbol],
     return text_syms
 
 
-def run_selftest(trials: int, max_n: int, sigma: int, pi: int,
-                 seed: int) -> Optional[TrialFailure]:
+def run_selftest(trials: int, seed: int) -> Optional[TrialFailure]:
     """Run the trial loop; None means every check passed.
 
-    Deterministic for a fixed argument tuple.
+    Trial t draws its text of shape ``SHAPES[(t - 1) % len(SHAPES)]``, and
+    every draw comes from one ``random.Random(seed)``: a run is deterministic,
+    and a failure at trial t recurs with ``trials=t`` and the same seed.
     """
-    alphabet = letters_alphabet(sigma, pi)
-    syms = list(alphabet.constants + alphabet.parameters)
     rng = random.Random(seed)
 
     for trial in range(1, trials + 1):
-        n = rng.randint(0, max_n) if syms else 0
-        text_syms = rng.choices(syms, k=n) if n else []
+        sigma, pi, max_n = SHAPES[(trial - 1) % len(SHAPES)]
+        alphabet = letters_alphabet(sigma, pi)
+        syms = alphabet.constants + alphabet.parameters
+        n = rng.randint(0, max_n)
+        text_syms = rng.choices(syms, k=n)
 
         detail = _structure_problem(alphabet, text_syms)
         if detail is not None:
             small = _shrink_text(text_syms, lambda t: _structure_problem(alphabet, t))
-            return TrialFailure("structure", trial, alphabet.constants,
+            return TrialFailure("structure", trial, seed, alphabet.constants,
                                 alphabet.parameters, small, None,
                                 _structure_problem(alphabet, small) or detail)
 
         for _ in range(3):
-            if not syms:
-                break
             r = rng.random()
             if n and r < 0.6:
                 # a text window: short, or up to the whole text, which on
@@ -152,10 +164,9 @@ def run_selftest(trials: int, max_n: int, sigma: int, pi: int,
                 small_t = _shrink_text(
                     text_syms, lambda t: _match_problem(alphabet, t, pattern_syms))
                 small_p = _shrink_text(
-                    pattern_syms,
-                    lambda p: _match_problem(alphabet, small_t, p) if p else None)
+                    pattern_syms, lambda p: _match_problem(alphabet, small_t, p))
                 return TrialFailure(
-                    "match", trial, alphabet.constants, alphabet.parameters,
+                    "match", trial, seed, alphabet.constants, alphabet.parameters,
                     small_t, small_p,
                     _match_problem(alphabet, small_t, small_p) or detail)
     return None

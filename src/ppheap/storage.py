@@ -137,14 +137,11 @@ def load(path) -> IndexBundle:
     return loads(data)
 
 
-def read_utf8(path, newline: str | None = None) -> str:
-    """Contents of a UTF-8 text file; InputEncodingError names a file that is not.
-
-    ``newline`` is as for ``open``: None turns every line end into "\n",
-    "" keeps the file's characters as they are.
-    """
+def read_utf8(path) -> str:
+    """Contents of a UTF-8 text file, line ends untranslated; InputEncodingError
+    names a file that is not UTF-8."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise InputEncodingError(
@@ -153,8 +150,7 @@ def read_utf8(path, newline: str | None = None) -> str:
 
 def read_text_file(path, mode: str) -> list[Symbol]:
     """The symbols of a text file; one trailing line end is not text."""
-    # no newline translation: a lone "\r" in a char-mode text is a symbol
-    content = read_utf8(path, newline="")
+    content = read_utf8(path)
     if content.endswith("\n"):
         content = content[:-2] if content.endswith("\r\n") else content[:-1]
     return split_symbols(content, mode)

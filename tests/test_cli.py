@@ -247,6 +247,32 @@ class TestBuild:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "whitespace" in err
 
+    def test_lone_cr_in_alphabet_line_is_whitespace(self, tmp_path, capsys):
+        """An alphabet file's lines end at "\n" only, as a text file's do."""
+        (tmp_path / "text.txt").write_text("for x in y\n")
+        for name, constants in (("cr", b"for\rin"), ("space", b"for in")):
+            (tmp_path / f"{name}.txt").write_bytes(
+                b"constants " + constants + b"\nparameters *\n")
+            code, _, err = run(["build", "--text", str(tmp_path / "text.txt"),
+                                "--alphabet", str(tmp_path / f"{name}.txt"),
+                                "--mode", "token", "--out", str(tmp_path / f"{name}.pph")],
+                               capsys)
+            assert (code, err) == (0, "")
+        assert (tmp_path / "cr.pph").read_bytes() == (tmp_path / "space.pph").read_bytes()
+
+    @pytest.mark.parametrize("alphabet, message", [
+        # lines that end in "\r" alone are one line
+        (b"constants ab\rparameters uvxy\r", "got 1"),
+        (b"constants a\rb\nparameters uvxy\n", "whitespace"),
+    ], ids=["cr-only", "cr-among-char-symbols"])
+    def test_lone_cr_alphabet_exits_3(self, workspace, capsys, alphabet, message):
+        (workspace / "alpha.txt").write_bytes(alphabet)
+        code, out, err = run(["build", "--text", str(workspace / "text.txt"),
+                              "--alphabet", str(workspace / "alpha.txt"),
+                              "--out", str(workspace / "x.pph")], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and message in err
+
 
 class TestQuery:
     def test_fixture_positions(self, workspace, capsys):
@@ -560,34 +586,37 @@ class TestExportDot:
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):
-        code, out, _ = run(["selftest", "--trials", "25", "--max-n", "24",
-                            "--sigma", "2", "--pi", "3", "--seed", "42"], capsys)
+        code, out, _ = run(["selftest", "--trials", "25", "--seed", "42"], capsys)
         assert code == 0
         assert "25 trials passed" in out
 
-    def test_constant_only_configuration(self, capsys):
-        code, _, _ = run(["selftest", "--trials", "10", "--max-n", "16",
-                          "--sigma", "1", "--pi", "0", "--seed", "7"], capsys)
+    def test_constant_only_configuration(self, capsys, monkeypatch):
+        monkeypatch.setattr("ppheap.selftest.SHAPES", ((1, 0, 16),))
+        code, _, _ = run(["selftest", "--trials", "10", "--seed", "7"], capsys)
         assert code == 0
 
-    def test_parameter_only_configuration(self, capsys):
-        code, _, _ = run(["selftest", "--trials", "10", "--max-n", "8",
-                          "--sigma", "0", "--pi", "2", "--seed", "1"], capsys)
+    def test_parameter_only_configuration(self, capsys, monkeypatch):
+        monkeypatch.setattr("ppheap.selftest.SHAPES", ((0, 2, 8),))
+        code, _, _ = run(["selftest", "--trials", "10", "--seed", "1"], capsys)
         assert code == 0
 
     @pytest.mark.parametrize("args, option", [
         (["--trials", "-3"], "--trials"),
-        (["--max-n", "-5"], "--max-n"),
-        (["--sigma", "-1"], "--sigma"),
-        (["--pi", "-2"], "--pi"),
-        (["--sigma", "20", "--pi", "7"], "--sigma plus --pi"),
-    ], ids=["trials", "max-n", "sigma", "pi", "sigma-plus-pi"])
+    ], ids=["trials"])
     def test_bad_argument_refused(self, args, option, capsys):
         code, out, err = run(["selftest", *args], capsys)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and option in err
         assert "Traceback" not in err
+
+    def test_only_trials_and_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # the usage on one line
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--help"])
+        assert info.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: ppheap selftest [-h] [--trials TRIALS] [--seed SEED]"
 
 
 # single symbol characters: multi-byte ones, "*", a carriage return (which
