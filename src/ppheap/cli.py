@@ -18,11 +18,9 @@ from .coding import MODES, parse_declared
 from .dot import to_dot
 from .errors import (
     AlphabetFormatError,
-    DuplicateSymbol,
     EmptyPattern,
     IndexFormatError,
     InputEncodingError,
-    OverlappingAlphabet,
     UnknownSymbol,
 )
 from .heap import build_index
@@ -179,7 +177,7 @@ def main(argv=None) -> int:
     except UnknownSymbol as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (AlphabetFormatError, DuplicateSymbol, OverlappingAlphabet) as exc:
+    except AlphabetFormatError as exc:
         print(f"error: bad alphabet: {exc}", file=sys.stderr)
         return EXIT_ALPHABET
     except IndexFormatError as exc:

@@ -5,11 +5,15 @@ class PPHeapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DuplicateSymbol(PPHeapError):
+class AlphabetFormatError(PPHeapError):
+    """An alphabet is malformed: its description file, or the symbols it declares."""
+
+
+class DuplicateSymbol(AlphabetFormatError):
     """A symbol was declared twice within one alphabet set."""
 
 
-class OverlappingAlphabet(PPHeapError):
+class OverlappingAlphabet(AlphabetFormatError):
     """A symbol was declared both constant and parameter."""
 
 
@@ -36,10 +40,6 @@ class EmptyPattern(PPHeapError):
 
 class StructuralError(PPHeapError):
     """An index violates one of its structural invariants."""
-
-
-class AlphabetFormatError(PPHeapError):
-    """An alphabet description file is malformed."""
 
 
 class IndexFormatError(PPHeapError):

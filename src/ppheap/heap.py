@@ -133,7 +133,7 @@ class PPHIndex:
             n=self.n,
             node_count=self.node_count,
             double_count=len(self.secondaries),
-            max_depth=max(self.depths) if self.depths else 0,
+            max_depth=max(self.depths),
         )
 
 
@@ -150,7 +150,7 @@ class Builder:
 
     __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
                  "_depths", "_children", "_suffixes",
-                 "_active_node", "_active_pos", "_k", "_done")
+                 "_active_node", "_active_pos", "_done")
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
@@ -164,7 +164,6 @@ class Builder:
         self._suffixes: list[int] = [BOTTOM]
         self._active_node = ROOT
         self._active_pos = 1
-        self._k = 0
         self._done = False
 
     @property
@@ -196,7 +195,7 @@ class Builder:
         depths = self._depths
         children = self._children
         suffixes = self._suffixes
-        k = self._k
+        k = len(self._symbols)
         node = self._active_node
         spos = self._active_pos
         try:
@@ -256,7 +255,6 @@ class Builder:
                     add_suffix(nxt)
                 node = nxt
         finally:
-            self._k = k
             self._active_node = node
             self._active_pos = spos
 
@@ -272,12 +270,10 @@ class Builder:
         self._done = True
         secondaries: dict[int, int] = {}
         cur = self._active_node
-        spos = self._active_pos
         suffixes = self._suffixes
-        while spos <= self._k:
+        for spos in range(self._active_pos, len(self._symbols) + 1):
             secondaries[cur] = spos
             cur = suffixes[cur]
-            spos += 1
         text = PString(tuple(self._symbols), self.alphabet)
         return PPHIndex(text, tuple(self._prev),
                         array("i", self._parents),

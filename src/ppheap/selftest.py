@@ -1,12 +1,13 @@
 """Randomized cross-validation of the fast paths against the oracle.
 
-Each trial draws a random text of the next of the six ``SHAPES``, builds an
-index online, audits its invariants, compares its structure and reach
-pointers with the brute-force rebuilds, and checks three queries, with and
-without the augmentation, against the naive matcher: a short text window, a
-long one (up to the whole text, sometimes with a symbol of its second half
-changed), or random symbols. A failure is shrunk by greedy symbol deletion
-and reported with the command that reproduces it.
+Each trial draws a random text of the next of the six ``SHAPES`` and three
+patterns: a short text window, a long one (up to the whole text, sometimes
+with a symbol of its second half changed), or random symbols. One check
+builds the index online, audits its invariants and compares its structure
+and reach pointers with the brute-force rebuilds; the same check, given a
+pattern, compares the matcher, with and without the augmentation, with the
+naive one. A failure is shrunk by greedy symbol deletion and reported with
+the command that reproduces it.
 """
 
 from __future__ import annotations
@@ -71,32 +72,31 @@ def letters_alphabet(sigma: int, pi: int) -> Alphabet:
     return make_alphabet(letters[:sigma], letters[26 - pi:])
 
 
-def _structure_problem(alphabet: Alphabet, text_syms: list[Symbol]) -> Optional[str]:
-    """Error description when the built index disagrees with the oracle."""
-    try:
-        text = parse_pstring(text_syms, alphabet)
-        idx = build_index(text)
-        audit_index(idx)
-        if not trees_equal(idx, naive_pph(text)):
-            return "online tree differs from brute-force tree"
-        aug = augment(idx)
-        for i in range(1, len(text) + 1):
-            if aug.mrp[i - 1] != naive_mrp(idx, i):
-                return f"reach pointer mismatch at position {i}"
-    except PPHeapError as exc:
-        return f"exception: {exc}"
-    return None
+def _problem(alphabet: Alphabet, text_syms: list[Symbol],
+             pattern_syms: Optional[list[Symbol]] = None) -> Optional[str]:
+    """Error description when the fast paths disagree with the oracle, else None.
 
-
-def _match_problem(alphabet: Alphabet, text_syms: list[Symbol],
-                   pattern_syms: list[Symbol]) -> Optional[str]:
-    if not pattern_syms:
+    With no pattern, checks the index: its invariants, its tree against the
+    brute-force tree, and every reach pointer. With a pattern, checks
+    ``match_pattern``, with and without the augmentation, against
+    ``naive_match``; an empty pattern, which shrinking may reach, passes.
+    """
+    if pattern_syms is not None and not pattern_syms:
         return None
     try:
         text = parse_pstring(text_syms, alphabet)
-        pattern = parse_pstring(pattern_syms, alphabet)
+        pattern = None if pattern_syms is None else parse_pstring(pattern_syms, alphabet)
         idx = build_index(text)
+        if pattern is None:
+            audit_index(idx)
+            if not trees_equal(idx, naive_pph(text)):
+                return "online tree differs from brute-force tree"
         aug = augment(idx)
+        if pattern is None:
+            for i in range(1, len(text) + 1):
+                if aug.mrp[i - 1] != naive_mrp(idx, i):
+                    return f"reach pointer mismatch at position {i}"
+            return None
         got = match_pattern(idx, aug, pattern)
         bare = match_pattern(idx, None, pattern)
         want = naive_match(text, pattern)
@@ -125,9 +125,10 @@ def _shrink_text(text_syms: list[Symbol],
 def run_selftest(trials: int, seed: int) -> Optional[TrialFailure]:
     """Run the trial loop; None means every check passed.
 
-    Trial t draws its text of shape ``SHAPES[(t - 1) % len(SHAPES)]``, and
-    every draw comes from one ``random.Random(seed)``: a run is deterministic,
-    and a failure at trial t recurs with ``trials=t`` and the same seed.
+    Trial t draws its text of shape ``SHAPES[(t - 1) % len(SHAPES)]``, then
+    three patterns, and every draw comes from one ``random.Random(seed)``: a
+    run is deterministic, and a failure at trial t recurs with ``trials=t``
+    and the same seed. No pattern stands for the index check.
     """
     rng = random.Random(seed)
 
@@ -138,13 +139,7 @@ def run_selftest(trials: int, seed: int) -> Optional[TrialFailure]:
         n = rng.randint(0, max_n)
         text_syms = rng.choices(syms, k=n)
 
-        detail = _structure_problem(alphabet, text_syms)
-        if detail is not None:
-            small = _shrink_text(text_syms, lambda t: _structure_problem(alphabet, t))
-            return TrialFailure("structure", trial, seed, alphabet.constants,
-                                alphabet.parameters, small, None,
-                                _structure_problem(alphabet, small) or detail)
-
+        patterns: list[Optional[list[Symbol]]] = [None]
         for _ in range(3):
             r = rng.random()
             if n and r < 0.6:
@@ -159,14 +154,16 @@ def run_selftest(trials: int, seed: int) -> Optional[TrialFailure]:
                     pattern_syms[k] = rng.choice(syms)
             else:
                 pattern_syms = rng.choices(syms, k=rng.randint(1, 8))
-            detail = _match_problem(alphabet, text_syms, pattern_syms)
+            patterns.append(pattern_syms)
+
+        for pattern_syms in patterns:
+            detail = _problem(alphabet, text_syms, pattern_syms)
             if detail is not None:
-                small_t = _shrink_text(
-                    text_syms, lambda t: _match_problem(alphabet, t, pattern_syms))
-                small_p = _shrink_text(
-                    pattern_syms, lambda p: _match_problem(alphabet, small_t, p))
+                small_t = _shrink_text(text_syms, lambda t: _problem(alphabet, t, pattern_syms))
+                small_p = None if pattern_syms is None else _shrink_text(
+                    pattern_syms, lambda p: _problem(alphabet, small_t, p))
                 return TrialFailure(
-                    "match", trial, seed, alphabet.constants, alphabet.parameters,
-                    small_t, small_p,
-                    _match_problem(alphabet, small_t, small_p) or detail)
+                    "structure" if pattern_syms is None else "match", trial, seed,
+                    alphabet.constants, alphabet.parameters, small_t, small_p,
+                    _problem(alphabet, small_t, small_p) or detail)
     return None

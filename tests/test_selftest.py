@@ -66,11 +66,26 @@ class TestFailureReporting:
         assert failure.kind == "structure"
         assert failure.describe().endswith(f"--trials {failure.trial} --seed 5")
 
-    def test_failure_reproduces_at_its_trial(self, monkeypatch):
-        drop_last_hit(monkeypatch)
+    @pytest.mark.parametrize("kind", ["structure", "match"])
+    def test_failure_reproduces_at_its_trial(self, monkeypatch, kind):
+        """Bugs that first fire past trial 1 recur from the seeded stream alone."""
+        if kind == "structure":
+            real_mrp = selftest_mod.naive_mrp
+            # claim the root for the last position of long texts only
+            monkeypatch.setattr(selftest_mod, "naive_mrp", lambda idx, i: (
+                0 if i == idx.n and idx.n > 150 else real_mrp(idx, i)))
+        else:
+            real_match = selftest_mod.match_pattern
+
+            def broken(idx, aug, pattern):
+                hits = real_match(idx, aug, pattern)
+                return hits[:-1] if len(pattern) > 20 else hits
+
+            monkeypatch.setattr(selftest_mod, "match_pattern", broken)
         seed = 5
         failure = run_selftest(trials=100, seed=seed)
-        assert failure is not None and failure.seed == seed
+        assert failure is not None and failure.kind == kind
+        assert failure.trial > 1 and failure.seed == seed
         assert failure.describe().endswith(
             f"\n  reproduce: ppheap selftest --trials {failure.trial} --seed {seed}")
         again = run_selftest(trials=failure.trial, seed=seed)
@@ -95,9 +110,14 @@ class TestShapes:
 
     def test_run_is_deterministic(self, monkeypatch):
         texts = []
-        real = selftest_mod._structure_problem
-        monkeypatch.setattr(selftest_mod, "_structure_problem",
-                            lambda alphabet, t: texts.append(t) or real(alphabet, t))
+        real = selftest_mod._problem
+
+        def index_checks(alphabet, t, pattern=None):
+            if pattern is None:
+                texts.append(t)
+            return real(alphabet, t, pattern)
+
+        monkeypatch.setattr(selftest_mod, "_problem", index_checks)
         for _ in range(2):
             assert run_selftest(12, seed=3) is None
         assert len(texts) == 24 and texts[:12] == texts[12:]
