@@ -32,7 +32,7 @@ import copy
 from array import array
 from typing import Iterable, NamedTuple
 
-from .coding import Alphabet, PrevLabel, PString, Symbol, norm
+from .coding import Alphabet, PrevLabel, PString, Symbol, norm, prev_encode
 from .errors import InvalidNode, StructuralError, UnknownSymbol
 
 ROOT = 0
@@ -327,23 +327,27 @@ def build_index(text: PString) -> PPHIndex:
 def audit_index(idx: PPHIndex) -> None:
     """Verify the structural invariants; raise StructuralError on violation.
 
-    Covers arena coherence (every parent an earlier node, parent/child/depth
-    agreement, every node registered at its parent under its derived edge
-    label, and children entries in canonical form: a single child as its
-    id, a dict only for two or more), the node count bound, the
-    exactly-once position partition, the secondary suffix interval,
-    primary < secondary at double nodes, the suffix-pointer
-    re-normalization law, and agreement of every stored position's path
-    label with the re-normalized global encoding. Cost grows with total
-    path length; intended for tests and self-checks, not query paths.
+    Each invariant is checked once: ``prev_text`` is the prev-encoding of
+    ``text``; the root is well formed; every other node v sits one below an
+    earlier parent, at a depth d with v + d - 1 <= n, registered there under
+    its derived edge label, and the children entries hold just these
+    registrations, a single child as its id and a dict only for two or more;
+    the secondaries are positions node_count..n at non-root nodes, so, as
+    node v holds primary v, each position is stored once; v's suffix pointer
+    u has depth d - 1 and, for d >= 2, hangs from the parent's suffix pointer
+    under v's label re-normalized to d - 2, so by induction on depth u's path
+    label is v's with the first label dropped and re-normalized; and each
+    stored position's window spells its node's path label, re-normalized, a
+    secondary's window being its whole suffix. One root-path walk per node:
+    for tests and self-checks, not query paths.
     """
     problems: list[str] = []
     n = idx.n
     count = idx.node_count
     prev_text = idx.prev_text
 
-    if count > n + 1:
-        problems.append(f"node count {count} exceeds n+1 = {n + 1}")
+    if prev_text != prev_encode(idx.text):
+        problems.append("prev_text is not the prev-encoding of text")
     if idx.depths[ROOT] != 0 or idx.parents[ROOT] != -1:
         problems.append("malformed root node")
     if idx.suffixes[ROOT] != BOTTOM:
@@ -380,55 +384,26 @@ def audit_index(idx: PPHIndex) -> None:
                                 "a single child is stored as its id")
     if edge_total != count - 1:
         problems.append(f"children entries hold {edge_total} edges for {count} nodes")
+    if (sorted(idx.secondaries.values()) != list(range(count, n + 1))
+            or not all(0 < v < count for v in idx.secondaries)):
+        problems.append(f"secondary positions are not {count}..{n} at nodes 1..{count - 1}")
     if problems:
         # the checks below walk parent chains and derive labels from depths
         raise StructuralError("; ".join(problems))
 
-    # position partition: every position 1..n stored exactly once, where
-    # node v holds primary position v
-    seen: dict[int, int] = {}
-    if ROOT in idx.secondaries:
-        problems.append("root must hold no positions")
     for v in range(1, count):
-        for pos in idx.positions_at(v):
-            if pos in seen:
-                problems.append(f"position {pos} stored at nodes {seen[pos]} and {v}")
-            seen[pos] = v
-    missing = [i for i in range(1, n + 1) if i not in seen]
-    if missing:
-        problems.append(f"positions never stored: {missing[:8]}")
-
-    secs = sorted(idx.secondaries.values())
-    if secs and secs != list(range(secs[0], n + 1)):
-        problems.append(f"secondary positions {secs} are not a suffix interval")
-    for v, spos in idx.secondaries.items():
-        if v >= spos:
-            problems.append(f"node {v}: primary {v} not below secondary {spos}")
-    if count != n + 1 - len(idx.secondaries):
-        problems.append("node count does not equal n + 1 - double nodes")
-
-    # suffix-pointer law: dropping the first symbol re-normalizes the rest
-    for v in range(1, count):
+        d = idx.depths[v]
         u = idx.suffixes[v]
         if not 0 <= u < count:
             problems.append(f"node {v}: suffix pointer {u} out of range")
-            continue
-        if idx.depths[u] != idx.depths[v] - 1:
+        elif idx.depths[u] != d - 1:
             problems.append(f"node {v}: suffix pointer does not drop depth by one")
-            continue
-        x = idx.path_label(v)
-        y = idx.path_label(u)
-        for j in range(len(y)):
-            if y[j] != norm(x[j + 1], j):
-                problems.append(f"node {v}: suffix pointer label law broken at {j}")
-                break
-
-    # stored positions: path label must equal the window's re-normalized encoding,
-    # and a secondary's path label must cover its entire remaining text
-    for v in range(1, count):
+        elif d >= 2 and (idx.parents[u] != idx.suffixes[idx.parents[v]]
+                         or idx.edge_label(u) != norm(idx.edge_label(v), d - 2)):
+            problems.append(f"node {v}: suffix pointer label law broken")
         path = idx.path_label(v)
         for pos in idx.positions_at(v):
-            if pos + len(path) - 1 > n:
+            if pos + d - 1 > n:
                 problems.append(f"node {v}: position {pos} path label overruns text")
                 continue
             for j, c in enumerate(path):
@@ -437,7 +412,7 @@ def audit_index(idx: PPHIndex) -> None:
                         f"node {v}: position {pos} label mismatch at offset {j}")
                     break
         spos = idx.secondaries.get(v)
-        if spos is not None and len(path) != n - spos + 1:
+        if spos is not None and d != n - spos + 1:
             problems.append(f"node {v}: secondary {spos} does not span its suffix")
 
     if problems:

@@ -290,6 +290,18 @@ class TestQuery:
         assert code == 0
         assert out == "2\n6\n"
 
+    def test_verify_mismatch_exits_4(self, workspace, capsys, monkeypatch):
+        index = build_demo(workspace, capsys)
+        real = matching.match_pattern
+        monkeypatch.setattr("ppheap.cli.match_pattern",
+                            lambda *args: real(*args)[:-1])
+        code, out, err = run(
+            ["query", "--index", str(index), "--pattern", "xayby", "--verify"],
+            capsys)
+        assert code == 4
+        assert out == "2\n"
+        assert err == "verification mismatch: index=[2] naive=[2, 6]\n"
+
     def test_unknown_pattern_symbol_exits_1(self, workspace, capsys):
         index = build_demo(workspace, capsys)
         code, _, err = run(

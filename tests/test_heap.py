@@ -5,14 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ppheap.augment import augment
 from ppheap.coding import make_alphabet, norm, parse_pstring, prev_encode
 from ppheap.errors import InvalidNode, StructuralError, UnknownSymbol
-from ppheap.heap import BOTTOM, ROOT, Builder, audit_index, build_index
+from ppheap.heap import BOTTOM, ROOT, Builder, PPHIndex, audit_index, build_index
 from ppheap.matching import match_pattern
 from ppheap.oracle import (
     naive_match,
@@ -381,6 +381,12 @@ def _shift_secondary(idx):
     idx.secondaries[v] = spos - 1
 
 
+def _deeper_secondary(idx):
+    ((v, spos),) = idx.secondaries.items()
+    del idx.secondaries[v]
+    idx.secondaries[walk(idx, (0, "a", 0))] = spos
+
+
 def _later_parent(idx):
     idx.parents[1] = idx.node_count - 1
 
@@ -395,6 +401,92 @@ def _change_last_label(idx):
     idx.prev_text = idx.prev_text[:-1] + ("a",)
 
 
+def _deepen_root(idx):
+    idx.depths[ROOT] = 1
+
+
+def _root_suffix_to_root(idx):
+    idx.suffixes[ROOT] = ROOT
+
+
+def _extra_child_entry(idx):
+    kids = idx.children[walk(idx, (0,))]
+    kids[99] = kids["a"]
+
+
+def _suffix_past_last_node(idx):
+    idx.suffixes[1] = idx.node_count
+
+
+def _suffix_to_other_parent(idx):
+    # (0 a 0) drops to (a 0); (b 0) ends in the same label under another parent
+    idx.suffixes[walk(idx, (0, "a", 0))] = walk(idx, ("b", 0))
+
+
+def _suffix_to_sibling(idx):
+    # (a b) hangs from the parent of (a 0) under another label
+    idx.suffixes[walk(idx, (0, "a", 0))] = walk(idx, ("a", "b"))
+
+
+AUDIT_ALPHABETS = [("ab", "uvxy"), ("a", "x"), ("", "uvxy"), ("ab", ""), ("abcd", "wxyz")]
+
+
+@st.composite
+def audit_texts(draw):
+    """A random or periodic text of at most 40 symbols over one of AUDIT_ALPHABETS."""
+    constants, parameters = draw(st.sampled_from(AUDIT_ALPHABETS))
+    syms = st.sampled_from(constants + parameters)
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        raw = draw(st.lists(syms, min_size=n, max_size=n))
+    else:
+        raw = (draw(st.lists(syms, min_size=1, max_size=7)) * n)[:n]
+    return parse_pstring(raw, make_alphabet(list(constants), list(parameters)))
+
+
+def damage_one_field(idx, draw):
+    """Change one entry of one field: a parent, depth or suffix pointer, a
+    secondary's value or node, an added or deleted secondary, a children
+    entry, or a prev label. The new value may equal the old one."""
+    count, n = idx.node_count, idx.n
+    ids = st.integers(-1, count)
+    kind = draw(st.sampled_from(
+        ["parents", "depths", "suffixes", "secondaries", "children", "prev_text"]))
+    if kind in ("parents", "depths", "suffixes"):
+        getattr(idx, kind)[draw(st.integers(0, count - 1))] = draw(ids)
+    elif kind == "secondaries":
+        secs = idx.secondaries
+        op = draw(st.sampled_from(["value", "node", "add", "delete"] if secs else ["add"]))
+        if op == "add":
+            secs[draw(ids)] = draw(st.integers(0, n + 1))
+        else:
+            v = draw(st.sampled_from(sorted(secs)))
+            spos = secs.pop(v)
+            if op == "value":
+                secs[v] = draw(st.integers(0, n + 1))
+            elif op == "node":
+                secs[draw(ids)] = spos
+    elif kind == "children":
+        v = draw(st.integers(0, count - 1))
+        op = draw(st.sampled_from(["leaf", "id", "dict"]))
+        if op == "leaf":
+            idx.children[v] = None
+        elif op == "id":
+            idx.children[v] = draw(ids)
+        else:
+            kids = idx.child_map(v)
+            label = draw(st.sampled_from([*kids, *idx.alphabet.constants, 0, 1, 2, 3]))
+            if label in kids and draw(st.booleans()):
+                del kids[label]
+            else:
+                kids[label] = draw(ids)
+            idx.children[v] = kids
+    elif n:
+        i = draw(st.integers(0, n - 1))
+        label = draw(st.sampled_from([*idx.alphabet.constants, *range(i + 1)]))
+        idx.prev_text = idx.prev_text[:i] + (label,) + idx.prev_text[i + 1:]
+
+
 class TestAuditRejects:
     """Each damage to a freshly built index is reported as a StructuralError."""
 
@@ -404,17 +496,50 @@ class TestAuditRejects:
         (_wrong_single_child, "single child 1 is not a child of it"),
         (_swap_siblings, "not registered under its label"),
         (_suffix_to_wrong_depth, "suffix pointer does not drop depth by one"),
-        (_shift_secondary, "never stored"),
+        (_shift_secondary, "secondary positions are not"),
+        (_deeper_secondary, "position 16 path label overruns text"),
         (_later_parent, "is not an earlier node"),
         (_change_last_label, "not registered under its label"),
         (_deepen_all, "runs past the end of the text"),
+        (_deepen_root, "malformed root node"),
+        (_root_suffix_to_root, "root suffix pointer must be the virtual node"),
+        (_extra_child_entry, "children entries hold 16 edges for 16 nodes"),
+        (_suffix_past_last_node, "suffix pointer 16 out of range"),
+        (_suffix_to_other_parent, "suffix pointer label law broken"),
+        (_suffix_to_sibling, "suffix pointer label law broken"),
     ], ids=["rekeyed-child", "one-entry-dict", "wrong-single-child", "swapped-siblings",
-            "suffix-depth", "secondary-shift", "later-parent", "last-prev-label", "deepened"])
+            "suffix-depth", "secondary-shift", "deeper-secondary", "later-parent",
+            "last-prev-label", "deepened", "root-depth", "root-suffix", "extra-child-entry",
+            "suffix-range", "suffix-other-parent", "suffix-sibling"])
     def test_damage_detected(self, ab_uvxy, damage, message):
         idx = build_audited("uvaubuavbvuvvuab", ab_uvxy)
         damage(idx)
         with pytest.raises(StructuralError, match=message):
             audit_index(idx)
+
+    def test_prev_label_off_the_text(self, ab_uvxy):
+        """A wrong prev label that every arena check passes makes the matcher
+        miss the occurrence at 1."""
+        idx = build_audited("vbvybvxx", ab_uvxy)
+        assert idx.prev_text[5] == 3
+        idx.prev_text = idx.prev_text[:5] + (1,) + idx.prev_text[6:]
+        pattern = parse_pstring("vbvybv", ab_uvxy)
+        assert match_pattern(idx, None, pattern) != naive_match(idx.text, pattern) == [1]
+        with pytest.raises(StructuralError, match="prev_text is not the prev-encoding"):
+            audit_index(idx)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(text=audit_texts(), data=st.data())
+    def test_passes_only_the_true_index(self, text, data):
+        idx = build_index(text)
+        damage_one_field(idx, data.draw)
+        try:
+            audit_index(idx)
+        except StructuralError:
+            return
+        true = build_index(text)
+        for field in PPHIndex.__slots__:
+            assert getattr(idx, field) == getattr(true, field), field
 
 
 class TestDegenerate:

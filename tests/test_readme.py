@@ -2,7 +2,8 @@
 
 The library quickstart runs in this process. Each shell block that calls
 ``ppheap`` runs one command at a time in an empty directory, through
-``cli.main`` and, when a ``ppheap`` console script is on PATH (an installed
+``cli.main``, through ``python -m ppheap`` on the package this process
+imported, and, when a ``ppheap`` console script is on PATH (an installed
 package), through that script too. ``printf ... > file`` lines write their
 file; the ``# ...`` lines right below a command are the output the README
 shows for it, and the command must print exactly that.
@@ -10,14 +11,17 @@ shows for it, and the command must print exactly that.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ppheap
 from ppheap.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -62,6 +66,13 @@ def console_script(argv: list[str], capsys) -> tuple[int, str]:
     return done.returncode, done.stdout
 
 
+def python_m(argv: list[str], capsys) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(ppheap.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "ppheap", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    return done.returncode, done.stdout
+
+
 def masked(lines: list[str]) -> list[str]:
     return [re.sub(r"build_s=\S+", "build_s=*", line) for line in lines]
 
@@ -74,6 +85,7 @@ def test_library_quickstart(capsys):
 
 @pytest.mark.parametrize("run", [
     in_process,
+    python_m,
     pytest.param(console_script, marks=pytest.mark.skipif(
         shutil.which("ppheap") is None, reason="no ppheap console script on PATH")),
 ])

@@ -11,6 +11,7 @@ import pytest
 import ppheap.matching as matching_mod
 import ppheap.selftest as selftest_mod
 from ppheap.cli import main
+from ppheap.errors import PPHeapError
 from ppheap.selftest import SHAPES, TrialFailure, letters_alphabet, run_selftest
 
 
@@ -65,6 +66,21 @@ class TestFailureReporting:
         assert failure is not None
         assert failure.kind == "structure"
         assert failure.describe().endswith(f"--trials {failure.trial} --seed 5")
+
+    def test_tree_mismatch_is_reported(self, monkeypatch):
+        monkeypatch.setattr(selftest_mod, "trees_equal", lambda idx, naive: False)
+        failure = run_selftest(trials=1, seed=5)
+        assert failure.kind == "structure"
+        assert failure.detail == "online tree differs from brute-force tree"
+
+    def test_matcher_exception_is_reported(self, monkeypatch):
+        def broken(idx, aug, pattern):
+            raise PPHeapError("matcher gave up")
+
+        monkeypatch.setattr(selftest_mod, "match_pattern", broken)
+        failure = run_selftest(trials=1, seed=5)
+        assert failure.kind == "match"
+        assert failure.detail == "exception: matcher gave up"
 
     @pytest.mark.parametrize("kind", ["structure", "match"])
     def test_failure_reproduces_at_its_trial(self, monkeypatch, kind):
