@@ -1,23 +1,22 @@
-"""Maximal-reach pointers and output-sensitive subtree enumeration.
+"""Maximal-reach pointers and a reach-ordered position list.
 
 For each text position i the maximal-reach pointer names the deepest node
 whose path label is a prefix of the encoded suffix starting at i. A leaf's
 primary and every secondary are their own node's reach, so one
 left-to-right sweep computes the internal nodes' primaries only, reusing
 the previous endpoint through its suffix pointer; the scan head over the
-text never moves backwards. A preorder list of the node ids, with each
-node's entry number and subtree size, then makes "is u inside v's subtree"
-an O(1) interval test, and because node v holds primary position v, the
-primaries of a subtree are one slice of that list. The secondaries, kept
-sorted by their node's preorder number, add one bisect range. Only
-matching reads these intervals, so the index does not carry them.
+text never moves backwards. A preorder of the node ids, as each node's
+entry number and subtree size, then makes "is u inside v's subtree" an
+O(1) interval test. The positions 1..n, sorted by the preorder number of
+their reach node, make "the positions whose reach lies in v's subtree" (or
+is v itself) one slice. Only matching reads these, so the index does not
+carry them.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 
 from .heap import ROOT, PPHIndex, subtree_nodes
 
@@ -25,35 +24,42 @@ from .heap import ROOT, PPHIndex, subtree_nodes
 class Augmentation:
     """Per-position reach pointers plus preorder intervals for one index.
 
-    ``mrp[i-1]`` is the reach node of 1-based position i. ``preorder``
-    lists the node ids, root first, each subtree one run; ``pre_enter`` (a
-    node's index in it) and ``subtree_size`` are indexed by node id. All but
-    ``preorder`` are ``array('i')``. ``secondary_ranks`` and
-    ``secondary_positions`` list the secondary positions in the preorder of
-    their nodes, beside those nodes' preorder numbers, so a subtree's
-    secondaries are one bisect range. Immutable once built; share it freely
-    together with its index.
+    ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` (a
+    node's number in ``preorder``, the node ids root first with each
+    subtree one run) and ``subtree_size`` are indexed by node id.
+    ``by_reach`` lists the positions 1..n by their reach node's preorder
+    number, ascending among equals; the positions whose reach has preorder
+    number k are ``by_reach[reach_start[k]:reach_start[k + 1]]``, so those
+    reaching into a subtree are one slice. All but ``by_reach`` are
+    ``array('i')``; its primaries are the int objects of ``preorder``.
+    Immutable once built; share it freely together with its index.
     """
 
-    __slots__ = ("mrp", "preorder", "pre_enter", "subtree_size",
-                 "secondary_ranks", "secondary_positions")
+    __slots__ = ("mrp", "pre_enter", "subtree_size", "by_reach", "reach_start")
 
     def __init__(self, mrp: array, preorder: list[int], subtree_size: array):
         self.mrp = mrp
-        self.preorder = preorder
         self.subtree_size = subtree_size
-        pre_enter = array("i", [0]) * len(preorder)
+        count = len(preorder)
+        pre_enter = array("i", [0]) * count
         for k, v in enumerate(preorder):
             pre_enter[v] = k
         self.pre_enter = pre_enter
-        # the secondary positions are exactly node_count..n, and each one's
-        # reach node is the node that stores it; they stay out of the
-        # preorder, since there they break its ascending runs and the sort
-        # in matching costs more than these bisect arrays save
-        secs = sorted(range(len(pre_enter), len(mrp) + 1),
-                      key=lambda s: pre_enter[mrp[s - 1]])
-        self.secondary_ranks = array("i", [pre_enter[mrp[s - 1]] for s in secs])
-        self.secondary_positions = array("i", secs)
+        rank = array("i", map(pre_enter.__getitem__, mrp))
+        start = array("i", [0]) * (count + 1)
+        for k in rank:
+            start[k + 1] += 1
+        self.reach_start = array("i", accumulate(start))
+        # preorder[1:] lists primaries 1..count-1 and the secondaries are
+        # count..n. Positions with one reach v are primaries on v's root
+        # path, which preorder lists by ascending id, and at most the
+        # secondary at v, so the stable sort keeps them ascending; and as a
+        # position reaches its own node or below, the input is nearly sorted.
+        rank.insert(0, 0)  # rank[p] belongs to position p
+        by_reach = preorder[1:]
+        by_reach += range(count, len(mrp) + 1)
+        by_reach.sort(key=rank.__getitem__)
+        self.by_reach = by_reach
 
 
 def compute_mrp(idx: PPHIndex) -> array:
@@ -134,19 +140,3 @@ def augment(idx: PPHIndex) -> Augmentation:
     mrp = compute_mrp(idx)
     preorder, size = preorder_intervals(idx)
     return Augmentation(mrp, preorder, size)
-
-
-def subtree_run(aug: Augmentation, u: int) -> list[int]:
-    """All positions stored in u's subtree, in no particular order.
-
-    One slice of ``aug.preorder`` (node v holds primary position v) plus
-    one bisect range of the secondaries, so the cost is the output size
-    plus O(log d) for d double nodes.
-    """
-    lo = aug.pre_enter[u]
-    hi = lo + aug.subtree_size[u]
-    out = aug.preorder[lo or 1:hi]  # preorder number 0 is the root: no position
-    ranks = aug.secondary_ranks
-    out += aug.secondary_positions[bisect_left(ranks, lo):bisect_left(ranks, hi)]
-    return out
-

@@ -348,6 +348,9 @@ def audit_index(idx: PPHIndex) -> None:
 
     if prev_text != prev_encode(idx.text):
         problems.append("prev_text is not the prev-encoding of text")
+        if len(prev_text) != n:
+            # the label checks below read prev_text at positions up to n
+            raise StructuralError(problems[0])
     if idx.depths[ROOT] != 0 or idx.parents[ROOT] != -1:
         problems.append("malformed root node")
     if idx.suffixes[ROOT] != BOTTOM:

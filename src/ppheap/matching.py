@@ -10,10 +10,10 @@ other query first computes the augmentation, since direct checks are
 quadratic on deep heaps.
 
 Over an augmentation, a whole encoding u is answered by the positions
-whose reach pointer falls inside u's subtree: the subtree's own (one slice
-of the preorder node list plus one bisect range of secondaries) and the
-path primaries above u whose reach lands inside it, then one sort.
-Otherwise the pattern is cut into segments, each the longest represented
+whose reach pointer falls inside u's subtree, one slice of the
+reach-ordered position list, then one sort. Otherwise the candidates are
+the positions whose reach is u, already ascending, that leave room for the
+pattern; the pattern is cut into segments, each the longest represented
 prefix of the re-encoded remainder, and a candidate survives only if its
 reach pointer at each segment start hits the segment's end node (the last
 segment may land anywhere in its subtree). A label that collapsed to 0
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .augment import Augmentation, augment, subtree_run
+from .augment import Augmentation, augment
 from .coding import PrevLabel, PString, prev_encode
 from .errors import EmptyPattern
 from .heap import ROOT, PPHIndex, subtree_nodes
@@ -167,44 +167,30 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
     instead (at most m label reads), and the filter stops there.
     """
     m = len(prev_p)
-    n = idx.n
-    mrp = aug.mrp
-    enter = aug.pre_enter
-    parents = idx.parents
     u = walk.end_node
-    if walk.consumed_through == m:
-        # whole encoding present: the subtree's positions, plus the path
-        # primaries whose reach falls inside u's subtree; a secondary above
-        # u spans its whole suffix, which is shorter than the pattern
-        lo = enter[u]
-        hi = lo + aug.subtree_size[u]
-        hits = subtree_run(aug, u)
-        v = parents[u]
-        while v != ROOT:
-            if lo <= enter[mrp[v - 1]] < hi:
-                hits.append(v)
-            v = parents[v]
+    whole = walk.consumed_through == m
+    enter = aug.pre_enter
+    lo = enter[u]
+    hi = lo + aug.subtree_size[u] if whole else lo + 1
+    start = aug.reach_start
+    hits = aug.by_reach[start[lo]:start[hi]]
+    if whole:
         hits.sort()
         return hits
 
-    # candidates: primaries along the walked path whose reach is exactly u
-    # (node v holds primary position v)
-    candidates: list[int] = []
-    v = u
-    while v != ROOT:
-        if mrp[v - 1] == u:
-            candidates.append(v)
-        v = parents[v]
-
+    # a position whose reach is u lies on the root-to-u path; the bound
+    # keeps every window, and so every read below, inside the text
+    last = idx.n - m + 1
+    candidates = [c for c in hits if c <= last]
+    mrp = aug.mrp
     prev_t = idx.prev_text
     i = walk.consumed_through + 1
     while candidates and i <= m:
         if len(candidates) * (m - i + 1) <= m:
             # the reach tests so far guarantee labels 1..i-1, and the
             # labels left to read total at most m
-            last = n - m + 1
-            return sorted(c for c in candidates
-                          if c <= last and _window_matches(prev_t, prev_p, c, range(i - 1, m)))
+            return [c for c in candidates
+                    if _window_matches(prev_t, prev_p, c, range(i - 1, m))]
         seg = segment_walk(idx, prev_p, i)
         v = seg.end_node
         j = seg.start
@@ -214,18 +200,15 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
         hi = lo + aug.subtree_size[v]
         survivors: list[int] = []
         for cand in candidates:
-            pos = cand + j - 1  # text position where this segment begins
-            if pos > n:
-                continue
-            reach = mrp[pos - 1]
+            # the reach at the text position where this segment begins
+            reach = mrp[cand + j - 2]
             if final:
                 if not lo <= enter[reach] < hi:
                     continue
             elif reach != v:
                 continue
-            # cross-segment re-check of labels that collapsed to 0; the
-            # reach test above guarantees these text accesses are in range
+            # cross-segment re-check of labels that collapsed to 0
             if _window_matches(prev_t, prev_p, cand, seg.zero_positions):
                 survivors.append(cand)
         candidates = survivors
-    return sorted(candidates)
+    return candidates

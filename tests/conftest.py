@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ppheap.augment import Augmentation, augment
+from ppheap.augment import Augmentation, augment, preorder_intervals
 from ppheap.coding import Alphabet, make_alphabet, parse_pstring
 from ppheap.heap import ROOT, Builder, PPHIndex, audit_index, subtree_nodes
 
@@ -40,13 +40,14 @@ def build_augmented(raw, alphabet: Alphabet) -> tuple[PPHIndex, Augmentation]:
 
 
 def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
-    """Assert that ``aug.preorder`` lists every node id once, root first,
-    that ``pre_enter`` inverts it, that each node's run of it holds
-    exactly the node's descendants by parent chain, and that the run is
-    what ``subtree_nodes`` lists, so the bare-heap and augmented matchers
-    see one subtree listing."""
+    """Assert that the preorder of ``preorder_intervals`` lists every node
+    id once, root first, that ``aug.pre_enter`` inverts it, that each
+    node's run of it, ``aug.subtree_size`` long, holds exactly the node's
+    descendants by parent chain, and that the run is what
+    ``subtree_nodes`` lists, so the bare-heap and augmented matchers see
+    one subtree listing."""
     count = idx.node_count
-    order = aug.preorder
+    order, _ = preorder_intervals(idx)
     assert order[0] == ROOT
     assert sorted(order) == list(range(count))
     below: list[set[int]] = [set() for _ in range(count)]

@@ -7,7 +7,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ppheap.augment import augment, compute_mrp, preorder_intervals, subtree_run
+from ppheap.augment import augment, compute_mrp, preorder_intervals
 from ppheap.coding import make_alphabet
 from ppheap.heap import ROOT
 from ppheap.oracle import naive_mrp
@@ -22,6 +22,8 @@ SYMBOLS = list("abuvxy")
 LEAF_FIRST = list("abbb")
 # internal nodes 1 and 2, then leaves 3..6
 LEAVES_LAST = list("uvuvab")
+# over 300 nodes, so most node ids are int objects that Python does not cache
+WIDE = random_text(random.Random(38), AB_UVXY, 400, 400)
 
 
 @st.composite
@@ -156,14 +158,15 @@ class TestPreorder:
             idx, aug = build_augmented(text, ab_uvxy)
             check_preorder(idx, aug)
 
-    def test_entries_are_the_children_maps_ints(self, ab_uvxy):
-        """The preorder holds the node-id objects the children entries
-        hold, so it creates no int per node (ids above 256 are not cached)."""
-        idx, aug = build_augmented(random_text(random.Random(38), ab_uvxy, 400, 400), ab_uvxy)
+    def test_entries_are_the_children_maps_ints(self):
+        """The reach-ordered list holds the node-id objects the children
+        entries hold, so it creates no int per node (ids above 256 are not
+        cached)."""
+        idx, aug = build_augmented(WIDE, AB_UVXY)
         assert idx.node_count > 300
-        for v in range(1, idx.node_count):
-            stored = idx.child_map(idx.parents[v])[idx.edge_label(v)]
-            assert aug.preorder[aug.pre_enter[v]] is stored
+        for p in aug.by_reach:
+            if p < idx.node_count:
+                assert p is idx.child_map(idx.parents[p])[idx.edge_label(p)]
 
     def test_interval_test_equals_parent_chain(self, ab_uvxy):
         rng = random.Random(34)
@@ -191,55 +194,60 @@ class TestPreorder:
             assert not inside(aug, idx.parents[v], v)
 
 
-def positions_by_parent_chain(idx, u) -> list[int]:
-    """Positions of every node whose parent chain reaches u, ascending."""
-    out = []
-    for w in range(idx.node_count):
-        v = w
-        while v != u and v != ROOT:
-            v = idx.parents[v]
-        if v == u:
-            out.extend(idx.positions_at(w))
-    return sorted(out)
-
-
-class TestSubtreePositions:
-    def test_root_holds_all_positions(self, ab_uvxy):
-        rng = random.Random(35)
-        for _ in range(20):
-            raw = random_text(rng, ab_uvxy, 48)
-            idx, aug = build_augmented(raw, ab_uvxy)
-            assert sorted(subtree_run(aug, ROOT)) == list(range(1, idx.n + 1))
-            for v in range(idx.node_count):
-                assert sorted(subtree_run(aug, v)) == positions_by_parent_chain(idx, v)
+class TestReachOrder:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=reach_texts())
+    @example(text=[])
+    @example(text=["a"])
+    @example(text=LEAF_FIRST)
+    @example(text=LEAVES_LAST)
+    def test_slices_equal_naive_reach(self, text):
+        """A subtree's slice is the positions whose naive reach lies in it;
+        a node's own slice is those reaching it exactly, ascending."""
+        idx, aug = build_augmented(text, AB_UVXY)
+        n = idx.n
+        by_reach, start = aug.by_reach, aug.reach_start
+        assert sorted(by_reach) == list(range(1, n + 1))
+        assert len(start) == idx.node_count + 1
+        reach = [naive_mrp(idx, i) for i in range(1, n + 1)]
+        above: list[set[int]] = []  # the nodes on each reach's parent chain
+        for v in reach:
+            chain = {v}
+            while v != ROOT:
+                v = idx.parents[v]
+                chain.add(v)
+            above.append(chain)
+        for v in range(idx.node_count):
+            lo = aug.pre_enter[v]
+            run = by_reach[start[lo]:start[lo + aug.subtree_size[v]]]
+            assert set(run) == {i for i in range(1, n + 1) if v in above[i - 1]}
+            own = by_reach[start[lo]:start[lo + 1]]
+            assert own == [i for i in range(1, n + 1) if reach[i - 1] == v]
+        for p in by_reach:
+            if p < idx.node_count:
+                assert p is idx.child_map(idx.parents[p])[idx.edge_label(p)]
 
     def test_leaf_yields_its_primary(self, a_xy):
         idx, aug = build_augmented("x", a_xy)
-        leaf = walk(idx, (0,))
-        assert subtree_run(aug, leaf) == [1]
+        lo = aug.pre_enter[walk(idx, (0,))]
+        assert aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + 1]] == [1]
 
-    def test_known_subtree(self, a_xy):
+    def test_known_slices(self, a_xy):
         idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
+        start = aug.reach_start
+        lo = aug.pre_enter[walk(idx, ("a", 0))]
+        assert aug.by_reach[start[lo]:start[lo + 1]] == [2, 10]
+        # the subtree stores 5 and 11; 3 and 4 are stored above it and reach in
         v = walk(idx, (0, 0, 2, 2))
-        positions = sorted(subtree_run(aug, v))
-        assert set(positions) <= {3, 4, 5, 11}
-        assert positions == positions_by_parent_chain(idx, v)
-
-    def test_ascending_and_unique(self, ab_uvxy):
-        rng = random.Random(36)
-        for text in (random_text(rng, ab_uvxy, 64, min_n=8), "uv" * 20, "ua" * 9 + "u"):
-            idx, aug = build_augmented(text, ab_uvxy)
-            for v in range(idx.node_count):
-                got = subtree_run(aug, v)
-                assert len(got) == len(set(got))
-                assert sorted(got) == positions_by_parent_chain(idx, v)
+        assert sorted(idx.positions_at(v)) == [5, 11]
+        lo = aug.pre_enter[v]
+        assert sorted(aug.by_reach[start[lo]:start[lo + aug.subtree_size[v]]]) == [3, 4, 5, 11]
 
 
 def test_augment_combines_both_parts(ab_uvxy):
     idx = build_audited("uvaubuavbv", ab_uvxy)
     aug = augment(idx)
     assert aug.mrp == compute_mrp(idx)
-    preorder, size = preorder_intervals(idx)
-    assert aug.preorder == preorder
+    _, size = preorder_intervals(idx)
     assert aug.subtree_size == size
     check_preorder(idx, aug)

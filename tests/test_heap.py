@@ -401,6 +401,11 @@ def _change_last_label(idx):
     idx.prev_text = idx.prev_text[:-1] + ("a",)
 
 
+def _drop_last_prev_label(idx):
+    # the registration check derives labels from prev_text up to position n
+    idx.prev_text = idx.prev_text[:-1]
+
+
 def _deepen_root(idx):
     idx.depths[ROOT] = 1
 
@@ -500,6 +505,7 @@ class TestAuditRejects:
         (_deeper_secondary, "position 16 path label overruns text"),
         (_later_parent, "is not an earlier node"),
         (_change_last_label, "not registered under its label"),
+        (_drop_last_prev_label, "prev_text is not the prev-encoding"),
         (_deepen_all, "runs past the end of the text"),
         (_deepen_root, "malformed root node"),
         (_root_suffix_to_root, "root suffix pointer must be the virtual node"),
@@ -509,8 +515,8 @@ class TestAuditRejects:
         (_suffix_to_sibling, "suffix pointer label law broken"),
     ], ids=["rekeyed-child", "one-entry-dict", "wrong-single-child", "swapped-siblings",
             "suffix-depth", "secondary-shift", "deeper-secondary", "later-parent",
-            "last-prev-label", "deepened", "root-depth", "root-suffix", "extra-child-entry",
-            "suffix-range", "suffix-other-parent", "suffix-sibling"])
+            "last-prev-label", "short-prev-text", "deepened", "root-depth", "root-suffix",
+            "extra-child-entry", "suffix-range", "suffix-other-parent", "suffix-sibling"])
     def test_damage_detected(self, ab_uvxy, damage, message):
         idx = build_audited("uvaubuavbvuvvuab", ab_uvxy)
         damage(idx)
