@@ -244,6 +244,42 @@ class TestReachOrder:
         assert sorted(aug.by_reach[start[lo]:start[lo + aug.subtree_size[v]]]) == [3, 4, 5, 11]
 
 
+def subtree_slice(aug, v) -> list[int]:
+    """The slice of ``by_reach`` for the subtree of v."""
+    lo = aug.pre_enter[v]
+    return aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + aug.subtree_size[v]]]
+
+
+def reaches_into(idx, i, u) -> bool:
+    """Whether the naive reach of position i lies in the subtree of u."""
+    v = naive_mrp(idx, i)
+    while v != u and v != ROOT:
+        v = idx.parents[v]
+    return v == u
+
+
+class TestSubtreePositions:
+    def test_root_holds_all_positions(self, ab_uvxy):
+        rng = random.Random(35)
+        for _ in range(20):
+            idx, aug = build_augmented(random_text(rng, ab_uvxy, 48), ab_uvxy)
+            assert sorted(subtree_slice(aug, ROOT)) == list(range(1, idx.n + 1))
+            for v in range(idx.node_count):
+                assert sorted(subtree_slice(aug, v)) == [
+                    i for i in range(1, idx.n + 1) if reaches_into(idx, i, v)]
+
+    def test_ascending_and_unique(self, ab_uvxy):
+        rng = random.Random(36)
+        for text in (random_text(rng, ab_uvxy, 64, min_n=8), "uv" * 20, "ua" * 9 + "u"):
+            idx, aug = build_augmented(text, ab_uvxy)
+            for v in range(idx.node_count):
+                got = subtree_slice(aug, v)
+                assert len(got) == len(set(got))
+                lo = aug.pre_enter[v]
+                own = aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + 1]]
+                assert own == sorted(set(own))
+
+
 def test_augment_combines_both_parts(ab_uvxy):
     idx = build_audited("uvaubuavbv", ab_uvxy)
     aug = augment(idx)
