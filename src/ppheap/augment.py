@@ -27,6 +27,9 @@ class Augmentation:
     ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` (a
     node's number in ``preorder``, the node ids root first with each
     subtree one run) and ``subtree_size`` are indexed by node id.
+    ``rank[p]`` is ``pre_enter[mrp[p - 1]]``, position p's reach rank, for
+    p = 1..n, and ``rank[0]`` is 0; p reaches into v's subtree exactly when
+    ``pre_enter[v] <= rank[p] < pre_enter[v] + subtree_size[v]``.
     ``by_reach`` lists the positions 1..n by their reach node's preorder
     number, ascending among equals; the positions whose reach has preorder
     number k are ``by_reach[reach_start[k]:reach_start[k + 1]]``, so those
@@ -35,7 +38,7 @@ class Augmentation:
     Immutable once built; share it freely together with its index.
     """
 
-    __slots__ = ("mrp", "pre_enter", "subtree_size", "by_reach", "reach_start")
+    __slots__ = ("mrp", "pre_enter", "subtree_size", "rank", "by_reach", "reach_start")
 
     def __init__(self, mrp: array, preorder: list[int], subtree_size: array):
         self.mrp = mrp
@@ -56,6 +59,7 @@ class Augmentation:
         # secondary at v, so the stable sort keeps them ascending; and as a
         # position reaches its own node or below, the input is nearly sorted.
         rank.insert(0, 0)  # rank[p] belongs to position p
+        self.rank = rank
         by_reach = preorder[1:]
         by_reach += range(count, len(mrp) + 1)
         by_reach.sort(key=rank.__getitem__)

@@ -14,9 +14,10 @@ whose reach pointer falls inside u's subtree, one slice of the
 reach-ordered position list, then one sort. Otherwise the candidates are
 the positions whose reach is u, already ascending, that leave room for the
 pattern; the pattern is cut into segments, each the longest represented
-prefix of the re-encoded remainder, and a candidate survives only if its
-reach pointer at each segment start hits the segment's end node (the last
-segment may land anywhere in its subtree). A label that collapsed to 0
+prefix of the re-encoded remainder. A candidate survives a segment when
+its reach rank (the preorder number of its reach pointer) at the segment
+start lies in the segment's interval: the end node's own number, or, for
+the last segment, the end node's subtree run. A label that collapsed to 0
 inside a segment lost a back-reference across its boundary, so it is
 re-checked against the text: at most one check per parameter symbol per
 segment. Once c candidates survive with the labels i..m still to read and
@@ -182,7 +183,7 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
     # keeps every window, and so every read below, inside the text
     last = idx.n - m + 1
     candidates = [c for c in hits if c <= last]
-    mrp = aug.mrp
+    rank = aug.rank
     prev_t = idx.prev_text
     i = walk.consumed_through + 1
     while candidates and i <= m:
@@ -193,22 +194,13 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
                     if _window_matches(prev_t, prev_p, c, range(i - 1, m))]
         seg = segment_walk(idx, prev_p, i)
         v = seg.end_node
-        j = seg.start
+        j = seg.start - 1  # the segment begins at text position c + j
         i = seg.consumed_through + 1
-        final = i > m
         lo = enter[v]
-        hi = lo + aug.subtree_size[v]
-        survivors: list[int] = []
-        for cand in candidates:
-            # the reach at the text position where this segment begins
-            reach = mrp[cand + j - 2]
-            if final:
-                if not lo <= enter[reach] < hi:
-                    continue
-            elif reach != v:
-                continue
-            # cross-segment re-check of labels that collapsed to 0
-            if _window_matches(prev_t, prev_p, cand, seg.zero_positions):
-                survivors.append(cand)
-        candidates = survivors
+        hi = lo + aug.subtree_size[v] if i > m else lo + 1
+        zeros = seg.zero_positions
+        # the reach at the segment start is v, or in v's subtree for the
+        # last segment; labels that collapsed to 0 are re-checked
+        candidates = [c for c in candidates if lo <= rank[c + j] < hi
+                      and _window_matches(prev_t, prev_p, c, zeros)]
     return candidates

@@ -203,7 +203,9 @@ class TestReachOrder:
     @example(text=LEAVES_LAST)
     def test_slices_equal_naive_reach(self, text):
         """A subtree's slice is the positions whose naive reach lies in it;
-        a node's own slice is those reaching it exactly, ascending."""
+        a node's own slice is those reaching it exactly, ascending; each
+        position's rank is its reach's preorder number, ascending along
+        ``by_reach``."""
         idx, aug = build_augmented(text, AB_UVXY)
         n = idx.n
         by_reach, start = aug.by_reach, aug.reach_start
@@ -226,6 +228,12 @@ class TestReachOrder:
         for p in by_reach:
             if p < idx.node_count:
                 assert p is idx.child_map(idx.parents[p])[idx.edge_label(p)]
+        rank = aug.rank
+        assert len(rank) == n + 1 and rank[0] == 0
+        for p in range(1, n + 1):
+            assert rank[p] == aug.pre_enter[aug.mrp[p - 1]]
+        ranks = [rank[p] for p in by_reach]
+        assert ranks == sorted(ranks)
 
     def test_leaf_yields_its_primary(self, a_xy):
         idx, aug = build_augmented("x", a_xy)

@@ -334,6 +334,17 @@ class TestBareHeapRule:
         assert hits == naive_match(idx.text, p) and len(hits) > 1000
         assert augment_calls == []
 
+    @pytest.mark.parametrize("pattern,k,calls", [
+        ("aaxa", 3, 0),   # 3 * 4 - 6 = 6 label checks, n
+        ("aaaax", 2, 1),  # 2 * 5 - 3 = 7 label checks, n + 1
+    ])
+    def test_bound_is_n_label_checks(self, augment_calls, pattern, k, calls):
+        idx = build_index(parse_pstring("aaaaxa", AB_UVXY))
+        p = parse_pstring(pattern, AB_UVXY)
+        assert segment_walk(idx, prev_encode(p), 1).consumed_through == k
+        assert match_pattern(idx, None, p) == naive_match(idx.text, p)
+        assert len(augment_calls) == calls
+
 
 @st.composite
 def few_candidate_cases(draw):
@@ -432,6 +443,14 @@ class TestFilterSwitch:
     def test_late_mismatch_keeps_the_filter(self, walks):
         _, walked = self.sides(walks, late_mismatch_cases())
         assert walked >= 30
+
+    @pytest.mark.parametrize("pattern,walked", [
+        ("aaax", 0),   # 2 candidates after 2 labels, m = 4: 2 * 2 = m
+        ("aaaax", 1),  # 2 candidates after 2 labels, m = 5: 2 * 3 = m + 1
+    ])
+    def test_switch_bound(self, walks, pattern, walked):
+        segments, _ = self.filtered(walks, "aaaaxa", pattern)
+        assert segments == walked
 
     @pytest.mark.parametrize("block,start,stop,walked", [
         ("aab", 150, 270, False),   # switches before any later segment
