@@ -5,50 +5,57 @@ whose path label is a prefix of the encoded suffix starting at i. A leaf's
 primary and every secondary are their own node's reach, so one
 left-to-right sweep computes the internal nodes' primaries only, reusing
 the previous endpoint through its suffix pointer; the scan head over the
-text never moves backwards. A preorder of the node ids, as each node's
-entry number and subtree size, then makes "is u inside v's subtree" an
-O(1) interval test. The positions 1..n, sorted by the preorder number of
-their reach node, make "the positions whose reach lies in v's subtree" (or
-is v itself) one slice. Only matching reads these, so the index does not
-carry them.
+text never moves backwards. The node ids numbered in reversed preorder,
+with each node's subtree size, make "is u inside v's subtree" an O(1)
+interval test: each subtree is one run of numbers that ends with its root.
+The positions 1..n, sorted by the number of their reach node, make "the
+positions whose reach lies in v's subtree" (or is v itself) one slice, and
+a prefix count of the list's descents tells in O(1) whether a slice is
+already ascending. Only matching reads these, so the index does not carry
+them.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import accumulate, compress, islice
+from operator import gt
 
 from .heap import ROOT, PPHIndex, subtree_nodes
 
 
 class Augmentation:
-    """Per-position reach pointers plus preorder intervals for one index.
+    """Per-position reach pointers plus reversed-preorder intervals for one index.
 
-    ``mrp[i-1]`` is the reach node of 1-based position i. ``pre_enter`` (a
-    node's number in ``preorder``, the node ids root first with each
-    subtree one run) and ``subtree_size`` are indexed by node id.
-    ``rank[p]`` is ``pre_enter[mrp[p - 1]]``, position p's reach rank, for
-    p = 1..n, and ``rank[0]`` is 0; p reaches into v's subtree exactly when
-    ``pre_enter[v] <= rank[p] < pre_enter[v] + subtree_size[v]``.
-    ``by_reach`` lists the positions 1..n by their reach node's preorder
-    number, ascending among equals; the positions whose reach has preorder
-    number k are ``by_reach[reach_start[k]:reach_start[k + 1]]``, so those
-    reaching into a subtree are one slice. All but ``by_reach`` are
-    ``array('i')``; its primaries are the int objects of ``preorder``.
+    ``mrp[i-1]`` is the reach node of 1-based position i. ``post`` (a node's
+    number in reversed ``preorder``, so that each subtree is one run ending
+    with its root) and ``subtree_size`` are indexed by node id.
+    ``rank[p]`` is ``post[mrp[p - 1]]``, position p's reach rank, for
+    p = 1..n, and ``rank[0]`` is 0, padding that no interval test may
+    read (0 numbers the last node in preorder); p reaches into v's subtree
+    exactly when ``post[v] - subtree_size[v] < rank[p] <= post[v]``.
+    ``by_reach`` lists the positions 1..n by their reach node's number,
+    ascending among equals; the positions whose reach has number k are
+    ``by_reach[reach_start[k]:reach_start[k + 1]]``, so those reaching into
+    a subtree are one slice. ``descents[k]`` counts the steps down in
+    ``by_reach[:k + 1]``, so a nonempty slice ``[a, b)`` is ascending
+    exactly when ``descents[b - 1] == descents[a]``. All but ``by_reach``
+    are ``array('i')``; its primaries are the int objects of ``preorder``.
     Immutable once built; share it freely together with its index.
     """
 
-    __slots__ = ("mrp", "pre_enter", "subtree_size", "rank", "by_reach", "reach_start")
+    __slots__ = ("mrp", "post", "subtree_size", "rank", "by_reach", "reach_start",
+                 "descents")
 
     def __init__(self, mrp: array, preorder: list[int], subtree_size: array):
         self.mrp = mrp
         self.subtree_size = subtree_size
         count = len(preorder)
-        pre_enter = array("i", [0]) * count
-        for k, v in enumerate(preorder):
-            pre_enter[v] = k
-        self.pre_enter = pre_enter
-        rank = array("i", map(pre_enter.__getitem__, mrp))
+        post = array("i", [0]) * count
+        for k, v in enumerate(reversed(preorder)):
+            post[v] = k
+        self.post = post
+        rank = array("i", map(post.__getitem__, mrp))
         start = array("i", [0]) * (count + 1)
         for k in rank:
             start[k + 1] += 1
@@ -56,14 +63,18 @@ class Augmentation:
         # preorder[1:] lists primaries 1..count-1 and the secondaries are
         # count..n. Positions with one reach v are primaries on v's root
         # path, which preorder lists by ascending id, and at most the
-        # secondary at v, so the stable sort keeps them ascending; and as a
-        # position reaches its own node or below, the input is nearly sorted.
+        # secondary at v, so the stable sort keeps them ascending.
         rank.insert(0, 0)  # rank[p] belongs to position p
         self.rank = rank
         by_reach = preorder[1:]
         by_reach += range(count, len(mrp) + 1)
         by_reach.sort(key=rank.__getitem__)
         self.by_reach = by_reach
+        # a secondary's position falls with its node's depth, and reversed
+        # preorder lists a root path deepest first, so on deep heaps most
+        # subtree slices are ascending already
+        self.descents = array("i", accumulate(
+            map(gt, by_reach, islice(by_reach, 1, None)), initial=0))
 
 
 def compute_mrp(idx: PPHIndex) -> array:
@@ -92,6 +103,12 @@ def compute_mrp(idx: PPHIndex) -> array:
                 mrp[v - 1] = v
             cur = suffixes[i - 1]
             scan = i - 1 + idx.depths[i - 1]
+        # "scan < n" would do as well: cur lies on suffix i's path at depth
+        # scan - i, and a node w holds depth(w) <= n - w + 1 labels. An
+        # internal i has a child w > i, so depth(i) < n - i; at scan == n
+        # cur is i or below it, and a child w of cur would need w > i and
+        # depth n - i + 1 > n - w + 1. So cur is a leaf there and the loop
+        # breaks below in the state that "scan < n" would leave it in.
         while scan <= n:
             nxt = children[cur]
             if nxt is None:
@@ -127,8 +144,8 @@ def preorder_intervals(idx: PPHIndex) -> tuple[list[int], array]:
     """The node ids in preorder, and the subtree sizes by node id.
 
     The ids are ``subtree_nodes`` of the root (any preorder serves the
-    subtree runs). A parent's id is below its children's ids, so one
-    backward sweep sums the sizes.
+    subtree runs); ``Augmentation`` numbers them in reverse. A parent's id
+    is below its children's ids, so one backward sweep sums the sizes.
     """
     preorder = subtree_nodes(idx, ROOT)
     count = idx.node_count

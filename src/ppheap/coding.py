@@ -141,6 +141,8 @@ def parse_declared(raw: Sequence[Symbol], constants: Iterable[Symbol],
     if parameters is None:
         declared = set(constants)
         parameters = [sym for sym in dict.fromkeys(raw) if sym not in declared]
+        # every symbol of raw is now declared, so no membership check can fail
+        return PString(tuple(raw), make_alphabet(constants, parameters))
     return parse_pstring(raw, make_alphabet(constants, parameters))
 
 

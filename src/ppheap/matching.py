@@ -11,13 +11,14 @@ quadratic on deep heaps.
 
 Over an augmentation, a whole encoding u is answered by the positions
 whose reach pointer falls inside u's subtree, one slice of the
-reach-ordered position list, then one sort. Otherwise the candidates are
-the positions whose reach is u, already ascending, that leave room for the
-pattern; the pattern is cut into segments, each the longest represented
-prefix of the re-encoded remainder. A candidate survives a segment when
-its reach rank (the preorder number of its reach pointer) at the segment
-start lies in the segment's interval: the end node's own number, or, for
-the last segment, the end node's subtree run. A label that collapsed to 0
+reach-ordered position list, sorted only if it holds a descent (on deep
+heaps it rarely does). Otherwise the candidates are the positions whose
+reach is u, already ascending, that leave room for the pattern; the
+pattern is cut into segments, each the longest represented prefix of the
+re-encoded remainder. A candidate survives a segment when its reach rank
+(the reversed-preorder number of its reach pointer) at the segment start
+lies in the segment's interval: the end node's own number, or, for the
+last segment, the end node's subtree run. A label that collapsed to 0
 inside a segment lost a back-reference across its boundary, so it is
 re-checked against the text: at most one check per parameter symbol per
 segment. Once c candidates survive with the labels i..m still to read and
@@ -170,13 +171,16 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
     m = len(prev_p)
     u = walk.end_node
     whole = walk.consumed_through == m
-    enter = aug.pre_enter
-    lo = enter[u]
-    hi = lo + aug.subtree_size[u] if whole else lo + 1
+    post = aug.post
+    hi = post[u] + 1
+    lo = hi - aug.subtree_size[u] if whole else hi - 1
     start = aug.reach_start
-    hits = aug.by_reach[start[lo]:start[hi]]
+    a, b = start[lo], start[hi]
+    hits = aug.by_reach[a:b]
     if whole:
-        hits.sort()
+        # the slice holds position u, so it is never empty
+        if aug.descents[b - 1] != aug.descents[a]:
+            hits.sort()
         return hits
 
     # a position whose reach is u lies on the root-to-u path; the bound
@@ -196,8 +200,8 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
         v = seg.end_node
         j = seg.start - 1  # the segment begins at text position c + j
         i = seg.consumed_through + 1
-        lo = enter[v]
-        hi = lo + aug.subtree_size[v] if i > m else lo + 1
+        hi = post[v] + 1
+        lo = hi - aug.subtree_size[v] if i > m else hi - 1
         zeros = seg.zero_positions
         # the reach at the segment start is v, or in v's subtree for the
         # last segment; labels that collapsed to 0 are re-checked

@@ -41,15 +41,16 @@ def build_augmented(raw, alphabet: Alphabet) -> tuple[PPHIndex, Augmentation]:
 
 def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
     """Assert that the preorder of ``preorder_intervals`` lists every node
-    id once, root first, that ``aug.pre_enter`` inverts it, that each
-    node's run of it, ``aug.subtree_size`` long, holds exactly the node's
-    descendants by parent chain, and that the run is what
-    ``subtree_nodes`` lists, so the bare-heap and augmented matchers see
-    one subtree listing."""
+    id once, root first, that ``aug.post`` inverts its reverse, that each
+    node's run of the reverse, ``aug.subtree_size`` long and ending at the
+    node's own number, holds exactly the node's descendants by parent
+    chain, and that the run is what ``subtree_nodes`` lists, reversed, so
+    the bare-heap and augmented matchers see one subtree listing."""
     count = idx.node_count
     order, _ = preorder_intervals(idx)
     assert order[0] == ROOT
     assert sorted(order) == list(range(count))
+    rev = order[::-1]
     below: list[set[int]] = [set() for _ in range(count)]
     for w in range(count):
         v = w
@@ -58,12 +59,12 @@ def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
             v = idx.parents[v]
             below[v].add(w)
     for v in range(count):
-        lo = aug.pre_enter[v]
-        assert order[lo] == v
+        hi = aug.post[v] + 1
+        assert rev[hi - 1] == v
         size = aug.subtree_size[v]
-        assert size == len(below[v]) and lo + size <= count
-        assert set(order[lo:lo + size]) == below[v]
-        assert subtree_nodes(idx, v) == order[lo:lo + size]
+        assert size == len(below[v]) and hi - size >= 0
+        assert set(rev[hi - size:hi]) == below[v]
+        assert subtree_nodes(idx, v)[::-1] == rev[hi - size:hi]
 
 
 def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,

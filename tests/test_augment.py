@@ -132,7 +132,7 @@ class TestReachPointers:
 
 def inside(aug, u, v) -> bool:
     """The interval test: u lies in v's subtree, v itself included."""
-    return aug.pre_enter[v] <= aug.pre_enter[u] < aug.pre_enter[v] + aug.subtree_size[v]
+    return aug.post[v] - aug.subtree_size[v] < aug.post[u] <= aug.post[v]
 
 
 class TestPreorder:
@@ -204,8 +204,8 @@ class TestReachOrder:
     def test_slices_equal_naive_reach(self, text):
         """A subtree's slice is the positions whose naive reach lies in it;
         a node's own slice is those reaching it exactly, ascending; each
-        position's rank is its reach's preorder number, ascending along
-        ``by_reach``."""
+        position's rank is its reach's reversed-preorder number, ascending
+        along ``by_reach``."""
         idx, aug = build_augmented(text, AB_UVXY)
         n = idx.n
         by_reach, start = aug.by_reach, aug.reach_start
@@ -220,10 +220,10 @@ class TestReachOrder:
                 chain.add(v)
             above.append(chain)
         for v in range(idx.node_count):
-            lo = aug.pre_enter[v]
-            run = by_reach[start[lo]:start[lo + aug.subtree_size[v]]]
+            hi = aug.post[v] + 1
+            run = by_reach[start[hi - aug.subtree_size[v]]:start[hi]]
             assert set(run) == {i for i in range(1, n + 1) if v in above[i - 1]}
-            own = by_reach[start[lo]:start[lo + 1]]
+            own = by_reach[start[hi - 1]:start[hi]]
             assert own == [i for i in range(1, n + 1) if reach[i - 1] == v]
         for p in by_reach:
             if p < idx.node_count:
@@ -231,31 +231,69 @@ class TestReachOrder:
         rank = aug.rank
         assert len(rank) == n + 1 and rank[0] == 0
         for p in range(1, n + 1):
-            assert rank[p] == aug.pre_enter[aug.mrp[p - 1]]
+            assert rank[p] == aug.post[aug.mrp[p - 1]]
         ranks = [rank[p] for p in by_reach]
         assert ranks == sorted(ranks)
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=reach_texts())
+    @example(text=[])
+    @example(text=["a"])
+    @example(text=list("aaabaab"))
+    def test_descents_tell_ascending_slices(self, text):
+        """``descents`` counts the steps down of ``by_reach``, so it calls a
+        node's subtree slice ascending exactly when it is."""
+        idx, aug = build_augmented(text, AB_UVXY)
+        by_reach, descents = aug.by_reach, aug.descents
+        assert list(descents) == [
+            sum(by_reach[i] > by_reach[i + 1] for i in range(k)) for k in range(len(descents))]
+        assert len(descents) == max(idx.n, 1)
+        start = aug.reach_start
+        for v in range(idx.node_count):
+            hi = aug.post[v] + 1
+            a, b = start[hi - aug.subtree_size[v]], start[hi]
+            got = by_reach[a:b]
+            if got:
+                assert (descents[b - 1] == descents[a]) == (got == sorted(got))
+
+    def test_periodic_slices_are_ascending(self):
+        """On a periodic text every slice that a whole encoding can ask
+        for, a non-root node's subtree, comes out ascending: reversed
+        preorder lists each root path deepest first, and a deeper double
+        node's secondary is the smaller position. Numbered in preorder,
+        most of them would need a sort."""
+        idx, aug = build_augmented(list("ab") * 30, AB_UVXY)
+        assert len(idx.secondaries) == 20 and idx.stats().max_depth == 20
+        start, descents = aug.reach_start, aug.descents
+        for v in range(1, idx.node_count):
+            got = subtree_slice(aug, v)
+            assert got == sorted(got)
+            hi = aug.post[v] + 1
+            assert descents[start[hi] - 1] == descents[start[hi - aug.subtree_size[v]]]
+
     def test_leaf_yields_its_primary(self, a_xy):
         idx, aug = build_augmented("x", a_xy)
-        lo = aug.pre_enter[walk(idx, (0,))]
-        assert aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + 1]] == [1]
+        assert own_slice(aug, walk(idx, (0,))) == [1]
 
     def test_known_slices(self, a_xy):
         idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
-        start = aug.reach_start
-        lo = aug.pre_enter[walk(idx, ("a", 0))]
-        assert aug.by_reach[start[lo]:start[lo + 1]] == [2, 10]
+        assert own_slice(aug, walk(idx, ("a", 0))) == [2, 10]
         # the subtree stores 5 and 11; 3 and 4 are stored above it and reach in
         v = walk(idx, (0, 0, 2, 2))
         assert sorted(idx.positions_at(v)) == [5, 11]
-        lo = aug.pre_enter[v]
-        assert sorted(aug.by_reach[start[lo]:start[lo + aug.subtree_size[v]]]) == [3, 4, 5, 11]
+        assert sorted(subtree_slice(aug, v)) == [3, 4, 5, 11]
 
 
 def subtree_slice(aug, v) -> list[int]:
     """The slice of ``by_reach`` for the subtree of v."""
-    lo = aug.pre_enter[v]
-    return aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + aug.subtree_size[v]]]
+    hi = aug.post[v] + 1
+    return aug.by_reach[aug.reach_start[hi - aug.subtree_size[v]]:aug.reach_start[hi]]
+
+
+def own_slice(aug, v) -> list[int]:
+    """The slice of ``by_reach`` for the positions whose reach is v."""
+    k = aug.post[v]
+    return aug.by_reach[aug.reach_start[k]:aug.reach_start[k + 1]]
 
 
 def reaches_into(idx, i, u) -> bool:
@@ -283,8 +321,7 @@ class TestSubtreePositions:
             for v in range(idx.node_count):
                 got = subtree_slice(aug, v)
                 assert len(got) == len(set(got))
-                lo = aug.pre_enter[v]
-                own = aug.by_reach[aug.reach_start[lo]:aug.reach_start[lo + 1]]
+                own = own_slice(aug, v)
                 assert own == sorted(set(own))
 
 

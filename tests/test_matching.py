@@ -68,6 +68,43 @@ class TestKnownAnswers:
         assert match_pattern(idx, aug, p) == [2, 10]
         assert naive_match(idx.text, p) == [2, 10]
 
+    def test_whole_encoding_slice_with_a_descent(self):
+        """The reach-ordered slice for ``aa`` comes out [2, 5, 1], so the
+        whole-encoding answer must sort it."""
+        ab = make_alphabet("ab", [])
+        idx, aug = build_augmented("aaabaab", ab)
+        u = walk(idx, ("a", "a"))
+        hi = aug.post[u] + 1
+        a, b = aug.reach_start[hi - aug.subtree_size[u]], aug.reach_start[hi]
+        assert aug.by_reach[a:b] == [2, 5, 1]
+        assert aug.descents[b - 1] != aug.descents[a]
+        p = parse_pstring("aa", ab)
+        assert match_pattern(idx, aug, p) == [1, 2, 5]
+        assert naive_match(idx.text, p) == [1, 2, 5]
+
+    def test_ascending_whole_encoding_slice_is_not_sorted(self):
+        """On a periodic text a whole encoding's slice is already
+        ascending, so the answer is that slice, with no sort."""
+
+        class Unsorted(list):
+            def sort(self, *args, **kwargs):
+                raise AssertionError("sorted an ascending slice")
+
+        class ByReach(list):
+            def __getitem__(self, i):
+                got = super().__getitem__(i)
+                return Unsorted(got) if type(i) is slice else got
+
+        ab = make_alphabet("ab", [])
+        idx, aug = build_augmented(list("ab") * 30, ab)
+        aug.by_reach = ByReach(aug.by_reach)
+        for raw in ("ab", "ba", "abab", "babab"):
+            p = parse_pstring(raw, ab)
+            assert segment_walk(idx, prev_encode(p), 1).consumed_through == len(raw)
+            got = match_pattern(idx, aug, p)
+            assert type(got) is Unsorted
+            assert got == naive_match(idx.text, p)
+
 
 class TestEdgeCases:
     def test_single_parameter_pattern(self, ab_uvxy):
