@@ -1,24 +1,24 @@
 """Maximal-reach pointers and a reach-ordered position list.
 
 For each text position i the maximal-reach pointer names the deepest node
-whose path label is a prefix of the encoded suffix starting at i. A leaf's
-primary and every secondary are their own node's reach, so one
-left-to-right sweep computes the internal nodes' primaries only, reusing
-the previous endpoint through its suffix pointer; the scan head over the
-text never moves backwards. The node ids numbered in reversed preorder,
-with each node's subtree size, make "is u inside v's subtree" an O(1)
-interval test: each subtree is one run of numbers that ends with its root.
-The positions 1..n, sorted by the number of their reach node, make "the
-positions whose reach lies in v's subtree" (or is v itself) one slice, and
-a prefix count of the list's descents tells in O(1) whether a slice is
-already ascending. Only matching reads these, so the index does not carry
-them.
+whose path label is a prefix of the encoded suffix starting at i. Every
+secondary is its own node's reach. One left-to-right sweep computes the
+primaries, each resuming from the previous endpoint through its suffix
+pointer, and a leaf's position jumps to the leaf itself, the deepest node
+on its path; the scan head over the text never moves backwards. The node
+ids numbered in reversed preorder, with each node's subtree size, make "is
+u inside v's subtree" an O(1) interval test: each subtree is one run of
+numbers that ends with its root. The positions 1..n, sorted by the number
+of their reach node, make "the positions whose reach lies in v's subtree"
+(or is v itself) one slice, and a prefix count of the list's descents
+tells in O(1) whether a slice is already ascending. Only matching reads
+these, so the index does not carry them.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, compress, islice
+from itertools import accumulate, islice
 from operator import gt
 
 from .heap import ROOT, PPHIndex, subtree_nodes
@@ -80,11 +80,11 @@ class Augmentation:
 def compute_mrp(idx: PPHIndex) -> array:
     """Reach node for every position 1..n, as a 0-indexed ``array('i')``.
 
-    Leaves and secondaries are their own reach: node v lies on suffix v's
-    path, and a secondary's path label is its whole suffix. The sweep
-    descends only from internal nodes, from the previous reach node's (or
-    the last skipped leaf's) suffix pointer, to a leaf, a missing child or
-    the end of the text.
+    One left-to-right sweep over the primaries, each resuming from the
+    previous reach node's suffix pointer and descending to a leaf, a
+    missing child or the end of the text; a leaf's position jumps to the
+    leaf itself, the deepest node on its path. A secondary is its own
+    node's reach: its path label is its whole suffix.
     """
     n = idx.n
     prev_text = idx.prev_text
@@ -95,14 +95,11 @@ def compute_mrp(idx: PPHIndex) -> array:
         mrp[s - 1] = v
     cur = ROOT
     scan = 1  # 1-based text position about to be consumed
-    follows = 1  # the position that cur and scan are set up for
-    for i in compress(range(1, len(children)), islice(children, 1, None)):
-        if i != follows:
-            # leaves follows..i-1; resuming after them keeps scan monotone
-            for v in range(follows, i):
-                mrp[v - 1] = v
-            cur = suffixes[i - 1]
-            scan = i - 1 + idx.depths[i - 1]
+    for i in range(1, len(children)):
+        if children[i] is None:
+            # cur is on suffix i's path no deeper than leaf i: scan never falls
+            cur = i
+            scan = i + idx.depths[i]
         # "scan < n" would do as well: cur lies on suffix i's path at depth
         # scan - i, and a node w holds depth(w) <= n - w + 1 labels. An
         # internal i has a child w > i, so depth(i) < n - i; at scan == n
@@ -134,9 +131,6 @@ def compute_mrp(idx: PPHIndex) -> array:
         # every position reaches depth >= 1, so this never lands on the
         # virtual node above the root
         cur = suffixes[cur]
-        follows = i + 1
-    for v in range(follows, len(children)):
-        mrp[v - 1] = v
     return mrp
 
 

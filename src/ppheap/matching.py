@@ -201,6 +201,11 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
         j = seg.start - 1  # the segment begins at text position c + j
         i = seg.consumed_through + 1
         hi = post[v] + 1
+        # "i >= m" would do as well: the first slice holds at most
+        # depth(u) + 1 <= m candidates and later segments only filter it, so
+        # with one label left the switch above checks that label next. The
+        # subtree interval adds only candidates whose label there differs
+        # under the segment's re-normalization, and so under the window's.
         lo = hi - aug.subtree_size[v] if i > m else hi - 1
         zeros = seg.zero_positions
         # the reach at the segment start is v, or in v's subtree for the

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppheap.augment import augment, compute_mrp, preorder_intervals
-from ppheap.coding import make_alphabet
-from ppheap.heap import ROOT
+from ppheap.coding import make_alphabet, parse_pstring
+from ppheap.heap import ROOT, build_index
 from ppheap.oracle import naive_mrp
 
 from conftest import build_audited, build_augmented, check_preorder, random_text, walk
@@ -17,10 +17,12 @@ from conftest import build_audited, build_augmented, check_preorder, random_text
 
 AB_UVXY = make_alphabet(list("ab"), list("uvxy"))
 SYMBOLS = list("abuvxy")
-# node 1 is a leaf, node 2 internal, node 3 a leaf: the sweep starts after a
-# leaf and its last internal node is followed only by a leaf
+# node 1 is a leaf, node 2 internal, node 3 a leaf: the sweep's first
+# position jumps to its leaf, and its last internal node is followed only by
+# a leaf
 LEAF_FIRST = list("abbb")
-# internal nodes 1 and 2, then leaves 3..6
+# internal nodes 1 and 2, then leaves 3..6: after the last descent every
+# position jumps to its own leaf
 LEAVES_LAST = list("uvuvab")
 # over 300 nodes, so most node ids are int objects that Python does not cache
 WIDE = random_text(random.Random(38), AB_UVXY, 400, 400)
@@ -117,6 +119,26 @@ class TestReachPointers:
                 found = True
         assert found  # the fixture contains at least one out-reaching primary
 
+    def test_sweep_reads_linearly_many_labels(self):
+        """The sweep's work is linear in n: each descent step reads at most
+        two labels and advances a scan head that never moves backwards or
+        passes n + 1, and each internal primary adds at most one more step,
+        the one that breaks. A sweep that restarts every position at the
+        root gives the same answers but reads quadratically many labels on
+        the periodic and one-parameter texts; the random text is shallow
+        and separates nothing."""
+        rng = random.Random(40)
+        for raw in (list("ab") * 1500, list("uavbuxa") * 429, ["x"] * 3000,
+                    rng.choices(SYMBOLS, k=3000)):
+            idx = build_index(parse_pstring(raw, AB_UVXY))
+            prev_text = idx.prev_text
+            counted = idx.prev_text = CountingTuple(prev_text)
+            try:
+                compute_mrp(idx)
+            finally:
+                idx.prev_text = prev_text
+            assert counted.reads <= 2 * (idx.n + idx.node_count)
+
     def test_depth_never_drops_by_more_than_one(self, ab_uvxy):
         rng = random.Random(33)
         for _ in range(30):
@@ -128,6 +150,16 @@ class TestReachPointers:
                 assert depths[i + 1] >= depths[i] - 1
             # the final position's encoded suffix has length one
             assert depths[-1] == 1
+
+
+class CountingTuple(tuple):
+    """A tuple that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
 
 
 def inside(aug, u, v) -> bool:
