@@ -11,8 +11,12 @@ u inside v's subtree" an O(1) interval test: each subtree is one run of
 numbers that ends with its root. The positions 1..n, sorted by the number
 of their reach node, make "the positions whose reach lies in v's subtree"
 (or is v itself) one slice, and a prefix count of the list's descents
-tells in O(1) whether a slice is already ascending. Only matching reads
-these, so the index does not carry them.
+tells in O(1) whether a slice is already ascending. The list's int
+objects are created in list order, so a slice copies one contiguous run
+of memory rather than node ids scattered in build order; the index's
+children entries then take these objects in place of the builder's, and
+the two still share one int per node. Only matching reads these, so the
+index does not carry them.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ class Augmentation:
     a subtree are one slice. ``descents[k]`` counts the steps down in
     ``by_reach[:k + 1]``, so a nonempty slice ``[a, b)`` is ascending
     exactly when ``descents[b - 1] == descents[a]``. All but ``by_reach``
-    are ``array('i')``; its primaries are the int objects of ``preorder``.
+    are ``array('i')``. ``by_reach`` is a list, so a slice of it is an
+    answer at once; its int objects are created in its order, so each
+    slice reads contiguous memory (``augment`` hands them to the index).
     Immutable once built; share it freely together with its index.
     """
 
@@ -69,6 +75,8 @@ class Augmentation:
         by_reach = preorder[1:]
         by_reach += range(count, len(mrp) + 1)
         by_reach.sort(key=rank.__getitem__)
+        # new ints in list order: an answer's slice reads contiguous memory
+        by_reach = array("i", by_reach).tolist()
         self.by_reach = by_reach
         # a secondary's position falls with its node's depth, and reversed
         # preorder lists a root path deepest first, so on deep heaps most
@@ -151,7 +159,25 @@ def preorder_intervals(idx: PPHIndex) -> tuple[list[int], array]:
 
 
 def augment(idx: PPHIndex) -> Augmentation:
-    """Compute the full augmentation (reach pointers and intervals)."""
+    """Compute the full augmentation (reach pointers and intervals).
+
+    The children entries of ``idx`` then take the int objects of
+    ``by_reach``, equal in value, so that the index and the list share one
+    int per node and the builder's are freed: the layout costs no memory.
+    """
     mrp = compute_mrp(idx)
     preorder, size = preorder_intervals(idx)
-    return Augmentation(mrp, preorder, size)
+    aug = Augmentation(mrp, preorder, size)
+    count = idx.node_count
+    own = [ROOT] * count  # node id -> its object in by_reach
+    for p in aug.by_reach:
+        if p < count:
+            own[p] = p
+    children = idx.children
+    for v, kids in enumerate(children):
+        if type(kids) is int:
+            children[v] = own[kids]
+        elif kids:
+            for label, w in kids.items():
+                kids[label] = own[w]
+    return aug

@@ -47,12 +47,14 @@ class Alphabet:
     in token mode); only identity and membership matter. Declaration order
     is preserved. ``_is_param`` maps every declared symbol to whether it is
     a parameter; ``prev_encode`` and ``Builder.extend`` classify a symbol with
-    one lookup in it.
+    one lookup in it. ``_own`` maps every declared symbol to the alphabet's
+    own ``str`` object for it, so that a parsed text holds one object per
+    distinct symbol.
 
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("constants", "parameters", "_is_param")
+    __slots__ = ("constants", "parameters", "_is_param", "_own")
 
     def __init__(self, constants: Iterable[Symbol], parameters: Iterable[Symbol]):
         self.constants = tuple(constants)
@@ -70,6 +72,7 @@ class Alphabet:
                 f"symbols declared both constant and parameter: {sorted(overlap)!r}")
         self._is_param = dict.fromkeys(self.constants, False)
         self._is_param.update(dict.fromkeys(self.parameters, True))
+        self._own = {sym: sym for sym in self._is_param}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Alphabet)
@@ -137,13 +140,23 @@ def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
 def parse_declared(raw: Sequence[Symbol], constants: Iterable[Symbol],
                    parameters: Iterable[Symbol] | None) -> PString:
     """Parse raw symbols; with ``parameters=None`` (the wildcard) every
-    non-constant symbol is a parameter, in order of first appearance."""
+    non-constant symbol is a parameter, in order of first appearance.
+
+    Each symbol of the result is the alphabet's own object for it, so a
+    text of many tokens holds one ``str`` per distinct token. Raises
+    UnknownSymbol as ``parse_pstring`` does.
+    """
     if parameters is None:
         declared = set(constants)
         parameters = [sym for sym in dict.fromkeys(raw) if sym not in declared]
-        # every symbol of raw is now declared, so no membership check can fail
-        return PString(tuple(raw), make_alphabet(constants, parameters))
-    return parse_pstring(raw, make_alphabet(constants, parameters))
+    alphabet = make_alphabet(constants, parameters)
+    own = alphabet._own
+    try:
+        symbols = tuple(map(own.__getitem__, raw))
+    except KeyError:
+        i = next(i for i, sym in enumerate(raw) if sym not in own)
+        raise UnknownSymbol(raw[i], i + 1) from None
+    return PString(symbols, alphabet)
 
 
 def split_symbols(line: str, mode: str) -> list[Symbol]:

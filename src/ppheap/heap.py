@@ -62,7 +62,8 @@ class PPHIndex:
     Every non-root node v holds primary position v, and its parent's id is
     below v. ``secondaries`` maps the node ids of double nodes to their
     secondary position. Treat a finalized index as read-only; concurrent
-    queries over it are safe.
+    queries over it are safe. ``augment`` swaps the id objects of the
+    children entries for equal ones; no value changes.
     """
 
     __slots__ = ("text", "prev_text", "parents", "depths",

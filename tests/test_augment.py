@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppheap.augment import augment, compute_mrp, preorder_intervals
 from ppheap.coding import make_alphabet, parse_pstring
-from ppheap.heap import ROOT, build_index
+from ppheap.heap import ROOT, audit_index, build_index
 from ppheap.oracle import naive_mrp
 
 from conftest import build_audited, build_augmented, check_preorder, random_text, walk
@@ -191,14 +191,26 @@ class TestPreorder:
             check_preorder(idx, aug)
 
     def test_entries_are_the_children_maps_ints(self):
-        """The reach-ordered list holds the node-id objects the children
-        entries hold, so it creates no int per node (ids above 256 are not
-        cached)."""
-        idx, aug = build_augmented(WIDE, AB_UVXY)
-        assert idx.node_count > 300
+        """The reach-ordered list holds new int objects, not the node ids
+        the builder made (ids above 256 are not cached), so that a slice of
+        it reads contiguous memory; the children entries then hold the
+        list's objects, so no node has two. Its values are the naive reach
+        order."""
+        idx = build_audited(WIDE, AB_UVXY)
+        count = idx.node_count
+        assert count > 300
+
+        def entry(v):
+            return idx.child_map(idx.parents[v])[idx.edge_label(v)]
+
+        built = [entry(v) for v in range(257, count)]
+        aug = augment(idx)
         for p in aug.by_reach:
-            if p < idx.node_count:
-                assert p is idx.child_map(idx.parents[p])[idx.edge_label(p)]
+            if 256 < p < count:
+                assert p is entry(p) and p is not built[p - 257]
+        order = sorted(range(1, idx.n + 1), key=lambda p: aug.post[naive_mrp(idx, p)])
+        assert aug.by_reach == order
+        audit_index(idx)
 
     def test_interval_test_equals_parent_chain(self, ab_uvxy):
         rng = random.Random(34)

@@ -106,6 +106,32 @@ class TestKnownAnswers:
             assert got == naive_match(idx.text, p)
 
 
+class TestFreshAnswers:
+    """An answer is the caller's own list: appending to, sorting or
+    clearing it changes neither the augmentation nor the next answer."""
+
+    @pytest.mark.parametrize("text,pattern", [
+        (list("ab") * 30, "abab"),  # an ascending slice, returned unsorted
+        ("aaabaab", "aa"),          # a slice with a descent, sorted
+    ])
+    def test_whole_encoding_answers_are_new_lists(self, text, pattern):
+        ab = make_alphabet("ab", [])
+        idx, aug = build_augmented(text, ab)
+        p = parse_pstring(pattern, ab)
+        assert segment_walk(idx, prev_encode(p), 1).consumed_through == len(pattern)
+        by_reach = list(aug.by_reach)
+        want = naive_match(idx.text, p)
+        assert len(want) > 1
+        for a in (aug, None):  # the augmented path, then the bare heap's
+            for spoil in (lambda got: got.append(0), lambda got: got.sort(reverse=True),
+                          list.clear):
+                got = match_pattern(idx, a, p)
+                assert got == want
+                spoil(got)
+                assert aug.by_reach == by_reach
+                assert match_pattern(idx, a, p) == want
+
+
 class TestEdgeCases:
     def test_single_parameter_pattern(self, ab_uvxy):
         rng = random.Random(41)

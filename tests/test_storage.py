@@ -18,7 +18,7 @@ from ppheap.errors import IndexFormatError
 from ppheap.matching import match_pattern
 from ppheap.storage import MAGIC, IndexBundle, dumps, load, loads, save
 
-from conftest import build_audited, random_text
+from conftest import build_audited, random_text, token_text
 
 
 def make_bundle(raw, alphabet, mode="char"):
@@ -70,6 +70,19 @@ class TestRoundTrip:
         assert again.wildcard
         assert again.index.alphabet == alpha
         assert dumps(again) == blob
+
+    @pytest.mark.parametrize("wildcard", [False, True])
+    def test_loaded_tokens_are_the_alphabets_objects(self, wildcard):
+        """The text line splits into one str per token; the loaded text
+        holds the alphabet's own object for each, one per distinct token."""
+        raw, alpha = token_text(random.Random(64), 300)
+        idx = build_audited(raw, alpha)
+        again = loads(dumps(IndexBundle(idx, None, "token", wildcard)))
+        symbols, alphabet = again.index.text.symbols, again.index.alphabet
+        assert symbols == tuple(raw)
+        assert len({id(s) for s in symbols}) == len(set(symbols))
+        own = {s: s for s in alphabet.constants + alphabet.parameters}
+        assert all(s is own[s] for s in symbols)
 
     def test_file_round_trip(self, tmp_path, ab_uvxy):
         bundle = make_bundle("uvaubuavbv", ab_uvxy)
