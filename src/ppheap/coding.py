@@ -23,6 +23,7 @@ around the symbols is not a symbol; among char-mode symbols it is refused.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -126,37 +127,37 @@ def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
     """Check each raw symbol against the alphabet.
 
     ``raw`` is any iterable of symbols: a str in char mode, a token list in
-    token mode. Raises UnknownSymbol naming the 1-based position of the
-    first undeclared symbol.
+    token mode. Each symbol of the result is the alphabet's own object for
+    it, so a text of many tokens holds one ``str`` per distinct token, and
+    a token pattern's labels meet the index's by identity. Raises
+    UnknownSymbol naming the 1-based position of the first undeclared
+    symbol.
     """
-    symbols = tuple(raw)
-    known = alphabet._is_param
-    if not known.keys() >= set(symbols):
-        i = next(i for i, sym in enumerate(symbols) if sym not in known)
-        raise UnknownSymbol(symbols[i], i + 1)
+    if not isinstance(raw, (str, list, tuple)):
+        raw = tuple(raw)  # read once: the error below indexes it
+    own = alphabet._own
+    try:
+        # one lookup per symbol, all in C; itemgetter returns a lone value
+        # bare, and takes no empty key list
+        if len(raw) > 1:
+            symbols = itemgetter(*raw)(own)
+        else:
+            symbols = tuple(map(own.__getitem__, raw))
+    except KeyError:
+        i = next(i for i, sym in enumerate(raw) if sym not in own)
+        raise UnknownSymbol(raw[i], i + 1) from None
     return PString(symbols, alphabet)
 
 
 def parse_declared(raw: Sequence[Symbol], constants: Iterable[Symbol],
                    parameters: Iterable[Symbol] | None) -> PString:
-    """Parse raw symbols; with ``parameters=None`` (the wildcard) every
-    non-constant symbol is a parameter, in order of first appearance.
-
-    Each symbol of the result is the alphabet's own object for it, so a
-    text of many tokens holds one ``str`` per distinct token. Raises
-    UnknownSymbol as ``parse_pstring`` does.
-    """
+    """``parse_pstring`` over the declared alphabet; with ``parameters=None``
+    (the wildcard) every non-constant symbol is a parameter, in order of
+    first appearance."""
     if parameters is None:
         declared = set(constants)
         parameters = [sym for sym in dict.fromkeys(raw) if sym not in declared]
-    alphabet = make_alphabet(constants, parameters)
-    own = alphabet._own
-    try:
-        symbols = tuple(map(own.__getitem__, raw))
-    except KeyError:
-        i = next(i for i, sym in enumerate(raw) if sym not in own)
-        raise UnknownSymbol(raw[i], i + 1) from None
-    return PString(symbols, alphabet)
+    return parse_pstring(raw, make_alphabet(constants, parameters))
 
 
 def split_symbols(line: str, mode: str) -> list[Symbol]:

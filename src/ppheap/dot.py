@@ -39,9 +39,11 @@ def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")
     # a secondary reaches the node that stores it and a leaf's primary
-    # the leaf, so only the primary v of an internal node v can leave it
+    # the leaf, so only the primary v of an internal node v can leave it;
+    # its reach is the node numbered with its reach rank
+    order, rank = aug.order, aug.rank
     for v in range(1, idx.node_count):
-        target = aug.mrp[v - 1]
+        target = order[rank[v]]
         if target != v:
             out.append(
                 f'  n{v} -> n{target} '

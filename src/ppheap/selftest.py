@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .augment import augment
+from .augment import augment, compute_mrp
 from .coding import Alphabet, Symbol, make_alphabet, parse_pstring
 from .errors import PPHeapError
 from .heap import audit_index, build_index
@@ -29,7 +29,9 @@ SHAPES = (
     (2, 3, 64),   # the general case: short texts, few of each symbol class
     (1, 1, 128),  # repetitive texts: many whole-encoding queries
     (4, 4, 200),  # leaf-heavy heaps, where the reach sweep skips most positions
-    (0, 1, 256),  # chain heaps n/2 deep: bare-heap queries take both matcher branches
+    # chain heaps n/2 deep: bare-heap queries take both matcher branches, and a
+    # walk over the augmentation jumps down the chain
+    (0, 1, 256),
     # long windows of repetitive texts, some changed late: the bare-heap rule sends them to
     # the augmentation, whose filter walks segments until few candidates are left to check
     (1, 2, 400),
@@ -91,13 +93,12 @@ def _problem(alphabet: Alphabet, text_syms: list[Symbol],
             audit_index(idx)
             if not trees_equal(idx, naive_pph(text)):
                 return "online tree differs from brute-force tree"
-        aug = augment(idx)
-        if pattern is None:
+            mrp = compute_mrp(idx)
             for i in range(1, len(text) + 1):
-                if aug.mrp[i - 1] != naive_mrp(idx, i):
+                if mrp[i - 1] != naive_mrp(idx, i):
                     return f"reach pointer mismatch at position {i}"
             return None
-        got = match_pattern(idx, aug, pattern)
+        got = match_pattern(idx, augment(idx), pattern)
         bare = match_pattern(idx, None, pattern)
         want = naive_match(text, pattern)
     except PPHeapError as exc:

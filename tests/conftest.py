@@ -92,3 +92,16 @@ def walk(idx: PPHIndex, labels) -> int | None:
         if v is None:
             return None
     return v
+
+
+class JumpOrder:
+    """``Augmentation.order`` that counts its reads: a segment walk reads it
+    only to jump down a chain of single-child nodes."""
+
+    def __init__(self, order):
+        self.order = order
+        self.reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return self.order[k]

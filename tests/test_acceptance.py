@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from ppheap.augment import augment
+from ppheap.augment import augment, compute_mrp
 from ppheap.coding import make_alphabet, norm, parse_pstring, prev_encode
 from ppheap.heap import audit_index, build_index
 from ppheap.matching import match_pattern
@@ -108,10 +108,11 @@ def test_criterion_4_oracle_equivalence_structure():
             alpha = letters_alphabet(sigma, pi)
             syms = list(alpha.constants + alpha.parameters)
             raw = rng.choices(syms, k=rng.randint(0, 64))
-            idx, aug = build_augmented(raw, alpha)
+            idx, _ = build_augmented(raw, alpha)
             assert trees_equal(idx, naive_pph(idx.text))
+            mrp = compute_mrp(idx)
             for i in range(1, idx.n + 1):
-                assert aug.mrp[i - 1] == naive_mrp(idx, i)
+                assert mrp[i - 1] == naive_mrp(idx, i)
         elapsed = time.perf_counter() - started
         print(f"  criterion 4 ran {texts} texts in {elapsed:.1f}s", end=" ")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,7 +73,7 @@ class TestReachPointers:
         texts += [periodic[:60], list("ab") * 30, list("ab") + ["u"] * 40, LEAF_FIRST]
         for text in texts:
             idx, aug = build_augmented(text, ab_uvxy)
-            mrp = aug.mrp
+            mrp = compute_mrp(idx)
             for v in range(1, idx.node_count):
                 if idx.children[v] is None:
                     assert mrp[v - 1] == v
@@ -101,21 +102,23 @@ class TestReachPointers:
                 assert mrp[pos - 1] == v
 
     def test_known_reach_targets(self, a_xy):
-        idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
+        idx = build_audited("xaxyxyxyyaxyxy", a_xy)
+        mrp = compute_mrp(idx)
         a0 = walk(idx, ("a", 0))
-        assert aug.mrp[2 - 1] == a0
-        assert aug.mrp[10 - 1] == a0
+        assert mrp[2 - 1] == a0
+        assert mrp[10 - 1] == a0
 
     def test_double_node_pointer_is_the_primary_walk(self, a_xy):
         """For a double node, the per-primary pointer may out-reach the node."""
-        idx, aug = build_augmented("xaxyxyxyyaxyxy", a_xy)
+        idx = build_audited("xaxyxyxyyaxyxy", a_xy)
+        mrp = compute_mrp(idx)
         found = False
         for v, spos in idx.secondaries.items():
             prim, second = idx.positions_at(v)
             assert second == spos
-            assert aug.mrp[spos - 1] == v
-            assert aug.mrp[prim - 1] == naive_mrp(idx, prim)
-            if aug.mrp[prim - 1] != v:
+            assert mrp[spos - 1] == v
+            assert mrp[prim - 1] == naive_mrp(idx, prim)
+            if mrp[prim - 1] != v:
                 found = True
         assert found  # the fixture contains at least one out-reaching primary
 
@@ -274,8 +277,9 @@ class TestReachOrder:
                 assert p is idx.child_map(idx.parents[p])[idx.edge_label(p)]
         rank = aug.rank
         assert len(rank) == n + 1 and rank[0] == 0
+        mrp = compute_mrp(idx)
         for p in range(1, n + 1):
-            assert rank[p] == aug.post[aug.mrp[p - 1]]
+            assert rank[p] == aug.post[mrp[p - 1]]
         ranks = [rank[p] for p in by_reach]
         assert ranks == sorted(ranks)
 
@@ -372,7 +376,7 @@ class TestSubtreePositions:
 def test_augment_combines_both_parts(ab_uvxy):
     idx = build_audited("uvaubuavbv", ab_uvxy)
     aug = augment(idx)
-    assert aug.mrp == compute_mrp(idx)
+    assert array("i", map(aug.order.__getitem__, aug.rank[1:])) == compute_mrp(idx)
     _, size = preorder_intervals(idx)
     assert aug.subtree_size == size
     check_preorder(idx, aug)

@@ -70,6 +70,30 @@ class TestParse:
         assert info.value.symbol == "z"
         assert info.value.position == 2
 
+    @pytest.mark.parametrize("raw", [
+        "uvbzaz",
+        list("uvbzaz"),
+        (sym for sym in "uvbzaz"),
+    ], ids=["str", "list", "generator"])
+    def test_unknown_symbol_is_the_same_for_any_iterable(self, ab_uvxy, raw):
+        with pytest.raises(UnknownSymbol) as info:
+            parse_pstring(raw, ab_uvxy)
+        assert (info.value.symbol, info.value.position) == ("z", 4)
+
+    def test_token_symbols_are_the_alphabets_own(self):
+        """Tokens split from a string are new str objects; the parsed
+        symbols are the alphabet's, so equal tokens are one object and a
+        pattern's labels meet the index's by identity."""
+        alphabet = make_alphabet(["for", "in"], ["alpha", "beta"])
+        own = {sym: sym for sym in alphabet.constants + alphabet.parameters}
+        raw = " ".join(["for", "alpha", "in", "beta", "alpha", "for"]).split()
+        assert raw[1] is not raw[4]
+        symbols = parse_pstring(raw, alphabet).symbols
+        assert symbols == tuple(raw)
+        assert all(sym is own[sym] for sym in symbols)
+        for short in ([], ["beta"]):
+            assert parse_pstring(short, alphabet).symbols == tuple(short)
+
     def test_slicing_preserves_alphabet(self, ab_uvxy):
         w = parse_pstring("uvau", ab_uvxy)
         tail = w[1:]

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from ppheap.augment import augment
+from ppheap.augment import augment, compute_mrp
 from ppheap.coding import make_alphabet, parse_pstring
 from ppheap.heap import audit_index, build_index
 from ppheap.matching import match_pattern
@@ -52,8 +52,8 @@ def test_every_text_and_window(constants, parameters, max_n):
             idx = build_index(text)
             audit_index(idx)
             assert trees_equal(idx, naive_pph(text)), where
+            assert list(compute_mrp(idx)) == [naive_mrp(idx, i) for i in range(1, n + 1)], where
             aug = augment(idx)
-            assert list(aug.mrp) == [naive_mrp(idx, i) for i in range(1, n + 1)], where
             for p in sorted(patterns(raw, syms)):
                 pattern = parse_pstring(p, alphabet)
                 want = naive_match(text, pattern)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from ppheap.augment import augment
+from ppheap.augment import augment, compute_mrp
 from ppheap.coding import make_alphabet, norm, parse_pstring, prev_encode
 from ppheap.errors import InvalidNode, StructuralError, UnknownSymbol
 from ppheap.heap import BOTTOM, ROOT, Builder, PPHIndex, audit_index, build_index
@@ -615,8 +615,9 @@ class BuilderMachine(RuleBasedStateMachine):
         assert snap.prev_text == prev_encode(text)
         aug = augment(snap)
         check_preorder(snap, aug)
+        mrp = compute_mrp(snap)
         for i in range(1, snap.n + 1):
-            assert aug.mrp[i - 1] == naive_mrp(snap, i)
+            assert mrp[i - 1] == naive_mrp(snap, i)
         p = parse_pstring(pattern, self.alphabet)
         assert match_pattern(snap, aug, p) == naive_match(text, p)
 

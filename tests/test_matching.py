@@ -17,7 +17,7 @@ from ppheap.heap import ROOT, audit_index, build_index
 from ppheap.matching import _direct_hits, _filtered_hits, match_pattern, segment_walk
 from ppheap.oracle import naive_match, naive_pph, trees_equal
 
-from conftest import build_augmented, random_text, token_text, walk
+from conftest import JumpOrder, build_augmented, random_text, token_text, walk
 
 
 class TestSegmentWalk:
@@ -461,9 +461,9 @@ class TestFilterSwitch:
         starts = []
         real = matching.segment_walk
 
-        def counted(idx, prev_p, j):
+        def counted(idx, prev_p, j, aug=None):
             starts.append(j)
-            return real(idx, prev_p, j)
+            return real(idx, prev_p, j, aug)
 
         monkeypatch.setattr(matching, "segment_walk", counted)
         return starts
@@ -528,3 +528,91 @@ class TestFilterSwitch:
         segments, reads = self.filtered(walks, text, text[start:stop])
         assert bool(segments) == walked
         assert 0 < reads <= stop - start
+
+
+AB_XYZ = make_alphabet(list("ab"), list("xyz"))
+# period 14 after its first x and y, so every later x or y refers back 14
+# labels: in a window that starts at an "a", its first x and y refer back
+# past the window in the text, but are 0s of a pattern
+TWO_PARAMS = ["x", "y"] + list("aaaxaaaaaaaaay") * 40
+
+
+class TestChainJump:
+    """A walk over an augmentation goes down a run of single-child nodes
+    with one slice comparison; it must end where the label-by-label walk
+    ends, with the same zero labels."""
+
+    def test_equals_the_plain_walk_from_every_start(self):
+        """Periodic texts over ab/xyz, some with symbols changed; renamed
+        windows, windows with a symbol changed, and windows with a random
+        tail that runs past their chain's end, walked from every j."""
+        rng = random.Random(61)
+        walks = jumps = 0
+        for _ in range(60):
+            n = rng.randint(20, 300)
+            block = rng.choices("abxyz", k=rng.randint(1, 8))
+            text = (block * n)[:n]
+            for _ in range(rng.randint(0, 3)):
+                text[rng.randrange(n)] = rng.choice("abxyz")
+            idx, aug = build_augmented(text, AB_XYZ)
+            aug.order = order = JumpOrder(aug.order)
+            for kind in ("renamed", "changed", "tail") * 2:
+                start = rng.randrange(n)
+                pattern = text[start:start + rng.randint(1, n - start)]
+                names = dict(zip("xyz", rng.sample("xyz", 3)))
+                pattern = [names.get(c, c) for c in pattern]
+                if kind == "changed":
+                    pattern[rng.randrange(len(pattern))] = rng.choice("abxyz")
+                elif kind == "tail":
+                    pattern += rng.choices("abxyz", k=rng.randint(1, 20))
+                p = parse_pstring(pattern, AB_XYZ)
+                prev_p = prev_encode(p)
+                for j in range(1, len(pattern) + 1):
+                    assert segment_walk(idx, prev_p, j, aug) == segment_walk(idx, prev_p, j), (
+                        "".join(text), "".join(pattern), j)
+                    walks += 1
+                assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
+            jumps += order.reads
+        assert walks > 5_000 and jumps > walks // 4
+
+    @pytest.mark.parametrize("pattern,j", [
+        (TWO_PARAMS[16:56], 1),
+        ([{"x": "y", "y": "z"}.get(c, c) for c in TWO_PARAMS[16:56]], 1),
+        (["x"] + TWO_PARAMS[16:56], 2),  # its second x refers back to label 1
+        (["y", "a"] + TWO_PARAMS[16:56], 3),  # its second y refers back 15
+    ], ids=["window", "renamed", "segment", "segment-y"])
+    def test_labels_collapsing_inside_a_chain(self, pattern, j):
+        """The segment's first x and y, 2 and 12 labels in, collapse to 0
+        on both sides while their raw labels differ; the jump that covers
+        them must go on."""
+        idx, aug = build_augmented(TWO_PARAMS, AB_XYZ)
+        aug.order = order = JumpOrder(aug.order)
+        p = parse_pstring(pattern, AB_XYZ)
+        prev_p = prev_encode(p)
+        seg = segment_walk(idx, prev_p, j, aug)
+        assert order.reads >= 1
+        assert seg == segment_walk(idx, prev_p, j)
+        assert seg.consumed_through == len(pattern)
+        offsets = [j + 2, j + 12]
+        assert seg.zero_positions == offsets
+        assert [prev_p[k] for k in offsets] != [14, 14]
+        assert [idx.prev_text[16 + k - (j - 1)] for k in offsets] == [14, 14]
+        assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
+
+    def test_long_walk_reads_few_children(self):
+        """A 1,000-label whole-encoding walk on a period-5 heap 1,043 deep
+        reads ``children`` at most 4 times: the root's table, at most one
+        more branching node, and the top of the chain that it then jumps
+        down. The label-by-label walk reads it 1,000 times."""
+        text = list("xaxyb") * 1250
+        idx = build_index(parse_pstring(text, AB_XYZ))
+        aug = augment(idx)
+        assert idx.stats().max_depth == 1043
+        idx.children = children = CountingLabels(idx.children)
+        for start in (0, 1, 2, 3, 4, 2000):
+            window = [{"x": "z", "y": "x"}.get(c, c) for c in text[start:start + 1000]]
+            prev_p = prev_encode(parse_pstring(window, AB_XYZ))
+            children.reads = 0
+            seg = segment_walk(idx, prev_p, 1, aug)
+            assert seg.consumed_through == 1000
+            assert children.reads <= 4

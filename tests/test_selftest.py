@@ -14,6 +14,8 @@ from ppheap.cli import main
 from ppheap.errors import PPHeapError
 from ppheap.selftest import SHAPES, TrialFailure, letters_alphabet, run_selftest
 
+from conftest import JumpOrder
+
 
 class TestLettersAlphabet:
     def test_disjoint_ends_of_the_pool(self):
@@ -168,10 +170,15 @@ class TestShapes:
 
         real_walk = matching_mod.segment_walk
 
-        def walk(idx, prev_pattern, j):
+        jump_orders: list[JumpOrder] = []
+
+        def walk(idx, prev_pattern, j, aug=None):
             if j > 1:
                 reached["segment walk from j > 1"] += 1
-            return real_walk(idx, prev_pattern, j)
+            if aug is not None and type(aug.order) is not JumpOrder:
+                aug.order = JumpOrder(aug.order)
+                jump_orders.append(aug.order)
+            return real_walk(idx, prev_pattern, j, aug)
 
         real_window = matching_mod._window_matches
 
@@ -197,10 +204,13 @@ class TestShapes:
         monkeypatch.setattr(matching_mod, "_window_matches", window)
 
         assert run_selftest(trials, seed=7) is None
+        if any(order.reads for order in jump_orders):
+            reached["chain jump"] += 1
 
         assert shapes == [SHAPES[(t - 1) % len(SHAPES)][:2] for t in range(1, trials + 1)]
         assert set(reached) == {"bare-heap answer", "augmentation fallback",
-                                "segment walk from j > 1", "few-candidates switch"}
+                                "segment walk from j > 1", "few-candidates switch",
+                                "chain jump"}
         for sigma, pi, max_n in SHAPES:
             assert all(idx.n <= max_n for idx in heaps[sigma, pi].values())
         # leaf-heavy: most non-root nodes are leaves
