@@ -23,7 +23,6 @@ around the symbols is not a symbol; among char-mode symbols it is refused.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -137,12 +136,7 @@ def parse_pstring(raw: Iterable[Symbol], alphabet: Alphabet) -> PString:
         raw = tuple(raw)  # read once: the error below indexes it
     own = alphabet._own
     try:
-        # one lookup per symbol, all in C; itemgetter returns a lone value
-        # bare, and takes no empty key list
-        if len(raw) > 1:
-            symbols = itemgetter(*raw)(own)
-        else:
-            symbols = tuple(map(own.__getitem__, raw))
+        symbols = tuple(map(own.__getitem__, raw))  # one lookup per symbol, in C
     except KeyError:
         i = next(i for i, sym in enumerate(raw) if sym not in own)
         raise UnknownSymbol(raw[i], i + 1) from None

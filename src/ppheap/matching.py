@@ -29,13 +29,14 @@ query stays within the paper's O(m(sigma + pi) + occ) bound. All three
 checks against the text (path primaries, zero labels, the labels a
 candidate has left) call ``_window_matches`` with their 0-based offsets.
 
-Over an augmentation, a descent also goes down a run of at least ``JUMP``
-single-child nodes, a compressed edge of the heap, with one comparison of
-pattern and text slices instead of one interpreted step per label: a
-node's path label is the text window at its own position, and labels
-equal before re-normalization are equal after it, so only the labels
-that collapse to 0 are re-normalized first. On deep, repetitive heaps
-this turns most of the m term into C-speed work.
+Over an augmentation, the pattern's first descent also goes down a run of
+at least ``JUMP`` single-child nodes, a compressed edge of the heap, with
+one comparison of pattern and text slices instead of one interpreted
+step per label: a node's path label is the text window at its own
+position, and labels equal before re-normalization are equal after it,
+so only the text labels facing the pattern's 0s are re-normalized first.
+On deep, repetitive heaps this turns most of the m term into C-speed
+work.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
     reached after labels j..i-1 has depth d = i - j, and a single child w
     of it has the label prev_text[w + d - 1] re-normalized to d.
 
-    Given ``aug``, at a node v with a run of at least ``JUMP``
+    Given ``aug`` and j = 1, at a node v with a run of at least ``JUMP``
     single-child nodes below it and as many labels left, the walk goes down
     t steps of the run at once. The node t steps down spells the run in
     its text window from offset d on, since a node's path label is the
@@ -92,17 +93,19 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
     that slice of the text in one comparison. Label k of both sides is
     re-normalized to the same depth d + k, so labels equal before
     re-normalization stay equal after it. Only where the pattern's label
-    collapses to 0 (for j = 1, its own 0s; at most once per parameter
-    symbol) are both sides re-normalized first. Elsewhere a raw difference
-    is a real one, since a text label that collapses there differs from the
-    pattern's, which does not. So the first raw difference left, after k
-    labels, ends the walk k steps down, whose only child has the label
-    that differs.
+    is 0 (at most once per parameter symbol) is the text's re-normalized
+    first. Elsewhere a raw difference is a real one, since a text label
+    that collapses there differs from the pattern's, which does not. So
+    the first raw difference left, after k labels, ends the walk k steps
+    down, whose only child has the label that differs. Segments from
+    j > 1 step label by label: they are the filter's, and on the measured
+    workloads their runs were short and mostly ended in a mismatch, where
+    a jump was slower than stepping.
     """
     m = len(prev_pattern)
     children = idx.children
     prev_t = idx.prev_text
-    if aug is None:
+    if aug is None or j > 1:
         last = 0  # no jump
     else:
         chain = aug.chain
@@ -131,34 +134,29 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
                     t = min(t, m - i + 1)
                     top = aug.post[v]
                     order = aug.order
-                    q = i - 1
+                    pat = prev_pattern[d:d + t]
                     s = order[top - t] + d - 1
-                    pat = prev_pattern[q:q + t]
                     txt = prev_t[s:s + t]
-                    # the offsets k whose pattern label collapses at depth d + k;
-                    # a whole pattern's labels never reach back past its start
-                    if j == 1:
-                        zs = []
-                        k = -1
-                        for _ in range(pat.count(0)):
-                            k = pat.index(0, k + 1)
-                            zs.append(k)
-                    else:
-                        zs = [k for k, a in enumerate(pat)
-                              if type(a) is int and (a == 0 or a > d + k)]
+                    # the offsets where the pattern's label collapses: j = 1,
+                    # so its own 0s, as no label reaches back past its start
+                    zs = []
+                    k = -1
+                    for _ in range(pat.count(0)):
+                        k = pat.index(0, k + 1)
+                        zs.append(k)
                     if zs:
-                        pat, txt = list(pat), list(txt)
+                        txt = list(txt)
                         for k in zs:
-                            pat[k] = 0
                             e = txt[k]
                             if type(e) is int and e > d + k:
                                 txt[k] = 0
+                        txt = tuple(txt)
                     # elsewhere the first raw difference is the first real one
                     agree = pat == txt
                     if not agree:
                         t = next(compress(count(), map(ne, pat, txt)))
                     if zs:
-                        zset += [q + k for k in zs if k < t]
+                        zset += [d + k for k in zs if k < t]
                     v = order[top - t]
                     i += t
                     if agree:
@@ -277,7 +275,7 @@ def _filtered_hits(idx: PPHIndex, aug: Augmentation,
             # labels left to read total at most m
             return [c for c in candidates
                     if _window_matches(prev_t, prev_p, c, range(i - 1, m))]
-        seg = segment_walk(idx, prev_p, i, aug)
+        seg = segment_walk(idx, prev_p, i)
         v = seg.end_node
         j = seg.start - 1  # the segment begins at text position c + j
         i = seg.consumed_through + 1

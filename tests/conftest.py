@@ -41,16 +41,19 @@ def build_augmented(raw, alphabet: Alphabet) -> tuple[PPHIndex, Augmentation]:
 
 def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
     """Assert that the preorder of ``preorder_intervals`` lists every node
-    id once, root first, that ``aug.post`` inverts its reverse, that each
-    node's run of the reverse, ``aug.subtree_size`` long and ending at the
-    node's own number, holds exactly the node's descendants by parent
-    chain, and that the run is what ``subtree_nodes`` lists, reversed, so
-    the bare-heap and augmented matchers see one subtree listing."""
+    id once, root first, that ``aug.post`` inverts its reverse and
+    ``aug.order`` is it, that each node's run of the reverse,
+    ``aug.subtree_size`` long and ending at the node's own number, holds
+    exactly the node's descendants by parent chain, that the run is what
+    ``subtree_nodes`` lists, reversed, so the bare-heap and augmented
+    matchers see one subtree listing, and that ``aug.chain`` counts the
+    single-child steps below each node."""
     count = idx.node_count
     order, _ = preorder_intervals(idx)
     assert order[0] == ROOT
     assert sorted(order) == list(range(count))
     rev = order[::-1]
+    assert list(aug.order) == rev
     below: list[set[int]] = [set() for _ in range(count)]
     for w in range(count):
         v = w
@@ -65,6 +68,12 @@ def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
         assert size == len(below[v]) and hi - size >= 0
         assert set(rev[hi - size:hi]) == below[v]
         assert subtree_nodes(idx, v)[::-1] == rev[hi - size:hi]
+        steps, kids = 0, idx.child_map(v)
+        while len(kids) == 1:
+            steps += 1
+            [w] = kids.values()
+            kids = idx.child_map(w)
+        assert aug.chain[v] == steps
 
 
 def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
@@ -94,14 +103,16 @@ def walk(idx: PPHIndex, labels) -> int | None:
     return v
 
 
-class JumpOrder:
-    """``Augmentation.order`` that counts its reads: a segment walk reads it
-    only to jump down a chain of single-child nodes."""
+class CountingLabels:
+    """A sequence that counts its reads."""
 
-    def __init__(self, order):
-        self.order = order
+    def __init__(self, labels):
+        self.labels = labels
         self.reads = 0
 
-    def __getitem__(self, k):
+    def __getitem__(self, i):
         self.reads += 1
-        return self.order[k]
+        return self.labels[i]
+
+    def __len__(self):
+        return len(self.labels)

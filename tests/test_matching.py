@@ -17,7 +17,7 @@ from ppheap.heap import ROOT, audit_index, build_index
 from ppheap.matching import _direct_hits, _filtered_hits, match_pattern, segment_walk
 from ppheap.oracle import naive_match, naive_pph, trees_equal
 
-from conftest import JumpOrder, build_augmented, random_text, token_text, walk
+from conftest import CountingLabels, build_augmented, random_text, token_text, walk
 
 
 class TestSegmentWalk:
@@ -437,21 +437,6 @@ def late_mismatch_cases(draw):
     return text, pattern[:k] + [draw(st.sampled_from(SYMBOLS))] + pattern[k + 1:]
 
 
-class CountingLabels:
-    """A label sequence that counts its reads."""
-
-    def __init__(self, labels):
-        self.labels = labels
-        self.reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return self.labels[i]
-
-    def __len__(self):
-        return len(self.labels)
-
-
 class TestFilterSwitch:
     """Once candidates times labels left is at most m, the filter stops
     walking segments and checks the rest of each window against the text."""
@@ -545,7 +530,8 @@ class TestChainJump:
     def test_equals_the_plain_walk_from_every_start(self):
         """Periodic texts over ab/xyz, some with symbols changed; renamed
         windows, windows with a symbol changed, and windows with a random
-        tail that runs past their chain's end, walked from every j."""
+        tail that runs past their chain's end, each suffix walked as a
+        whole pattern, the only walk that jumps."""
         rng = random.Random(61)
         walks = jumps = 0
         for _ in range(60):
@@ -555,7 +541,7 @@ class TestChainJump:
             for _ in range(rng.randint(0, 3)):
                 text[rng.randrange(n)] = rng.choice("abxyz")
             idx, aug = build_augmented(text, AB_XYZ)
-            aug.order = order = JumpOrder(aug.order)
+            aug.order = order = CountingLabels(aug.order)
             for kind in ("renamed", "changed", "tail") * 2:
                 start = rng.randrange(n)
                 pattern = text[start:start + rng.randint(1, n - start)]
@@ -566,37 +552,36 @@ class TestChainJump:
                 elif kind == "tail":
                     pattern += rng.choices("abxyz", k=rng.randint(1, 20))
                 p = parse_pstring(pattern, AB_XYZ)
-                prev_p = prev_encode(p)
-                for j in range(1, len(pattern) + 1):
-                    assert segment_walk(idx, prev_p, j, aug) == segment_walk(idx, prev_p, j), (
+                for j in range(len(pattern)):
+                    prev_p = prev_encode(p[j:])
+                    reads = order.reads
+                    assert segment_walk(idx, prev_p, 1, aug) == segment_walk(idx, prev_p, 1), (
                         "".join(text), "".join(pattern), j)
                     walks += 1
+                    jumps += order.reads > reads
                 assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
-            jumps += order.reads
         assert walks > 5_000 and jumps > walks // 4
 
-    @pytest.mark.parametrize("pattern,j", [
-        (TWO_PARAMS[16:56], 1),
-        ([{"x": "y", "y": "z"}.get(c, c) for c in TWO_PARAMS[16:56]], 1),
-        (["x"] + TWO_PARAMS[16:56], 2),  # its second x refers back to label 1
-        (["y", "a"] + TWO_PARAMS[16:56], 3),  # its second y refers back 15
-    ], ids=["window", "renamed", "segment", "segment-y"])
-    def test_labels_collapsing_inside_a_chain(self, pattern, j):
-        """The segment's first x and y, 2 and 12 labels in, collapse to 0
-        on both sides while their raw labels differ; the jump that covers
-        them must go on."""
+    @pytest.mark.parametrize("pattern", [
+        TWO_PARAMS[16:56],
+        [{"x": "y", "y": "z"}.get(c, c) for c in TWO_PARAMS[16:56]],
+    ], ids=["window", "renamed"])
+    def test_labels_collapsing_inside_a_chain(self, pattern):
+        """The window's first x and y, 3 and 13 labels in, are 0s of the
+        pattern whose text labels refer back past the window; the jump
+        that covers them must go on."""
         idx, aug = build_augmented(TWO_PARAMS, AB_XYZ)
-        aug.order = order = JumpOrder(aug.order)
+        aug.order = order = CountingLabels(aug.order)
         p = parse_pstring(pattern, AB_XYZ)
         prev_p = prev_encode(p)
-        seg = segment_walk(idx, prev_p, j, aug)
+        seg = segment_walk(idx, prev_p, 1, aug)
         assert order.reads >= 1
-        assert seg == segment_walk(idx, prev_p, j)
+        assert seg == segment_walk(idx, prev_p, 1)
         assert seg.consumed_through == len(pattern)
-        offsets = [j + 2, j + 12]
+        offsets = [3, 13]
         assert seg.zero_positions == offsets
-        assert [prev_p[k] for k in offsets] != [14, 14]
-        assert [idx.prev_text[16 + k - (j - 1)] for k in offsets] == [14, 14]
+        assert [prev_p[k] for k in offsets] == [0, 0]
+        assert [idx.prev_text[16 + k] for k in offsets] == [14, 14]
         assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
 
     def test_long_walk_reads_few_children(self):

@@ -14,7 +14,7 @@ from ppheap.cli import main
 from ppheap.errors import PPHeapError
 from ppheap.selftest import SHAPES, TrialFailure, letters_alphabet, run_selftest
 
-from conftest import JumpOrder
+from conftest import CountingLabels
 
 
 class TestLettersAlphabet:
@@ -170,13 +170,13 @@ class TestShapes:
 
         real_walk = matching_mod.segment_walk
 
-        jump_orders: list[JumpOrder] = []
+        jump_orders: list[CountingLabels] = []
 
         def walk(idx, prev_pattern, j, aug=None):
             if j > 1:
                 reached["segment walk from j > 1"] += 1
-            if aug is not None and type(aug.order) is not JumpOrder:
-                aug.order = JumpOrder(aug.order)
+            if aug is not None and type(aug.order) is not CountingLabels:
+                aug.order = CountingLabels(aug.order)
                 jump_orders.append(aug.order)
             return real_walk(idx, prev_pattern, j, aug)
 
