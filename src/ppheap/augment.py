@@ -17,9 +17,10 @@ of memory rather than node ids scattered in build order; the index's
 children entries then take these objects in place of the builder's, and
 the two still share one int per node. A node with one child is numbered
 one above that child, so a run of single-child nodes is a run of numbers;
-the numbering's inverse and a count of the single-child steps below each
-node let a matcher go down such a run in one step. Only matching reads
-these, so the index does not carry them.
+with the numbering's inverse, the node t numbers below v, its depth and
+its subtree size tell in O(1) whether the t nodes below v form one run,
+so a matcher can go down it in one step. Only matching reads these, so
+the index does not carry them.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ class Augmentation:
     """Per-position reach ranks plus reversed-preorder intervals for one index.
 
     ``post`` (a node's number in reversed ``preorder``, so that each subtree
-    is one run ending with its root), ``subtree_size`` and ``chain`` are
-    indexed by node id; ``order`` is the inverse of ``post``, the node with
-    each number. ``chain[v]`` counts the single-child steps below v: the
-    nodes ``order[post[v] - k]`` for k = 1..chain[v] are v's only child, its
-    only child, and so on. ``rank[p]`` is ``post`` of position p's reach
-    node, for p = 1..n, so ``order[rank[p]]`` is that node; ``rank[0]`` is
-    0, padding that no interval test may read (0 numbers the last node in
-    preorder). p reaches into v's subtree exactly when
+    is one run ending with its root) and ``subtree_size`` are indexed by
+    node id; ``order`` is the inverse of ``post``, the node with each
+    number. ``order[post[v] - k]`` for k = 1, 2, ... are the nodes after v
+    in preorder: v's first child, its first child, and so on while the
+    depth rises by one per step. ``rank[p]`` is ``post`` of position p's
+    reach node, for p = 1..n, so ``order[rank[p]]`` is that node;
+    ``rank[0]`` is 0, padding that no interval test may read (0 numbers
+    the last node in preorder). p reaches into v's subtree exactly when
     ``post[v] - subtree_size[v] < rank[p] <= post[v]``. ``by_reach`` lists
     the positions 1..n by their reach node's number, ascending among equals;
     the positions whose reach has number k are
@@ -50,15 +51,15 @@ class Augmentation:
     a subtree are one slice. ``descents[k]`` counts the steps down in
     ``by_reach[:k + 1]``, so a nonempty slice ``[a, b)`` is ascending
     exactly when ``descents[b - 1] == descents[a]``. All but ``by_reach``
-    are ``array('i')``; ``order`` and ``chain`` take 8 B per node. The reach
-    pointers themselves (``compute_mrp``) are not kept: ``rank`` and
-    ``order`` give them back. ``by_reach`` is a list, so a slice of it is an
-    answer at once; its int objects are created in its order, so each
-    slice reads contiguous memory (``augment`` hands them to the index).
+    are ``array('i')``; ``order`` takes 4 B per node. The reach pointers
+    themselves (``compute_mrp``) are not kept: ``rank`` and ``order`` give
+    them back. ``by_reach`` is a list, so a slice of it is an answer at
+    once; its int objects are created in its order, so each slice reads
+    contiguous memory (``augment`` hands them to the index).
     Immutable once built; share it freely together with its index.
     """
 
-    __slots__ = ("post", "order", "subtree_size", "chain", "rank", "by_reach",
+    __slots__ = ("post", "order", "subtree_size", "rank", "by_reach",
                  "reach_start", "descents")
 
     def __init__(self, mrp: array, preorder: list[int], subtree_size: array):
@@ -66,23 +67,9 @@ class Augmentation:
         count = len(preorder)
         self.order = array("i", reversed(preorder))
         post = array("i", [0]) * count
-        chain = array("i", [0]) * count
-        # a node's first child in preorder is numbered one below it, and it
-        # is the only child exactly when its subtree is all of the node's
-        # but the node; the node numbered 0 is a leaf, and so is not one
-        run = 0
-        one_above = 0  # the size of a node with the previous one as only child
         for k, v in enumerate(reversed(preorder)):
             post[v] = k
-            size = subtree_size[v]
-            if size == one_above:
-                run += 1
-                chain[v] = run
-            else:
-                run = 0
-            one_above = size + 1
         self.post = post
-        self.chain = chain
         rank = array("i", map(post.__getitem__, mrp))
         start = array("i", [0]) * (count + 1)
         for k in rank:

@@ -29,20 +29,19 @@ query stays within the paper's O(m(sigma + pi) + occ) bound. All three
 checks against the text (path primaries, zero labels, the labels a
 candidate has left) call ``_window_matches`` with their 0-based offsets.
 
-Over an augmentation, the pattern's first descent also goes down a run of
-at least ``JUMP`` single-child nodes, a compressed edge of the heap, with
-one comparison of pattern and text slices instead of one interpreted
-step per label: a node's path label is the text window at its own
-position, and labels equal before re-normalization are equal after it,
-so only the text labels facing the pattern's 0s are re-normalized first.
-On deep, repetitive heaps this turns most of the m term into C-speed
-work.
+Over an augmentation, once the rest of the pattern (at least ``JUMP``
+labels) lies on one run of single-child nodes, a compressed edge of the
+heap, the pattern's first descent checks it with one comparison of
+pattern and text slices instead of one interpreted step per label: a
+node's path label is the text window at its own position, and labels
+equal before re-normalization are equal after it, so only the text
+labels facing the pattern's 0s are re-normalized first. A run that
+differs is stepped to the label that differs. On deep, repetitive heaps
+this turns most of the m term into C-speed work.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
 from typing import Iterable, NamedTuple
 
 from .augment import Augmentation, augment
@@ -50,8 +49,8 @@ from .coding import PrevLabel, PString, prev_encode
 from .errors import EmptyPattern
 from .heap import ROOT, PPHIndex, subtree_nodes
 
-# The fewest single-child steps that a walk over an augmentation takes as
-# one slice comparison; shorter runs step label by label. It is about the
+# The fewest labels that a walk over an augmentation checks with one slice
+# comparison; a shorter rest steps label by label. It is about the
 # break-even of one comparison against interpreted label steps, measured
 # with CPython 3.11 on one core of a 2-vCPU VM: a jump of 8 labels took
 # 0.89x the time of 8 steps on a constants-only text, and 1.07x where the
@@ -67,7 +66,8 @@ class SegmentWalk(NamedTuple):
     ``consumed_through`` is start-1 when not even the first label matched.
     ``zero_positions`` lists the 0-based pattern offsets whose
     segment-relative label collapsed to 0 and therefore need a text-side
-    re-check.
+    re-check. Only segments from j > 1 record them: the whole pattern's
+    labels are the window's own encoding, so its walk's list is empty.
     """
 
     start: int
@@ -85,22 +85,25 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
     reached after labels j..i-1 has depth d = i - j, and a single child w
     of it has the label prev_text[w + d - 1] re-normalized to d.
 
-    Given ``aug`` and j = 1, at a node v with a run of at least ``JUMP``
-    single-child nodes below it and as many labels left, the walk goes down
-    t steps of the run at once. The node t steps down spells the run in
-    its text window from offset d on, since a node's path label is the
-    window at its own position, so the next t labels are compared with
-    that slice of the text in one comparison. Label k of both sides is
+    Given ``aug`` and j = 1, at a single-child node v with t >= ``JUMP``
+    labels left, the walk tests in O(1) whether the rest of the pattern
+    lies on one run of single-child nodes below v. Let w be the node t
+    numbers below v, t nodes after it in preorder: the rest lies on one run
+    exactly when w is t levels deeper than v (so the t nodes form a path)
+    and w's subtree is all of v's but the t nodes above it (so no node on
+    the path has a second child). Then the t labels are compared with w's
+    text window from offset d on in one comparison, since a node's path
+    label is the window at its own position. Label k of both sides is
     re-normalized to the same depth d + k, so labels equal before
     re-normalization stay equal after it. Only where the pattern's label
     is 0 (at most once per parameter symbol) is the text's re-normalized
     first. Elsewhere a raw difference is a real one, since a text label
-    that collapses there differs from the pattern's, which does not. So
-    the first raw difference left, after k labels, ends the walk k steps
-    down, whose only child has the label that differs. Segments from
-    j > 1 step label by label: they are the filter's, and on the measured
-    workloads their runs were short and mostly ended in a mismatch, where
-    a jump was slower than stepping.
+    that collapses there differs from the pattern's, which does not. Equal,
+    the walk ends at w; different, it steps through the run to the label
+    that differs and does not test again, so a failed test costs one slice
+    and at most t steps. Segments from j > 1 step label by label: they are
+    the filter's, and on the measured workloads their runs were short and
+    mostly ended in a mismatch, where a jump was slower than stepping.
     """
     m = len(prev_pattern)
     children = idx.children
@@ -108,7 +111,10 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
     if aug is None or j > 1:
         last = 0  # no jump
     else:
-        chain = aug.chain
+        depths = idx.depths
+        post = aug.post
+        order = aug.order
+        size = aug.subtree_size
         last = m - JUMP + 1  # a jump takes at least JUMP labels
     v = ROOT
     zset: list[int] = []
@@ -127,47 +133,37 @@ def segment_walk(idx: PPHIndex, prev_pattern: tuple[PrevLabel, ...], j: int,
         else:
             d = i - j
             if i <= last:
-                t = chain[v]
-                if t >= JUMP:
-                    # the next t labels against the window of the node t steps
-                    # down, from its offset d on
-                    t = min(t, m - i + 1)
-                    top = aug.post[v]
-                    order = aug.order
-                    pat = prev_pattern[d:d + t]
-                    s = order[top - t] + d - 1
-                    txt = prev_t[s:s + t]
-                    # the offsets where the pattern's label collapses: j = 1,
-                    # so its own 0s, as no label reaches back past its start
-                    zs = []
-                    k = -1
-                    for _ in range(pat.count(0)):
-                        k = pat.index(0, k + 1)
-                        zs.append(k)
-                    if zs:
-                        txt = list(txt)
-                        for k in zs:
-                            e = txt[k]
-                            if type(e) is int and e > d + k:
-                                txt[k] = 0
-                        txt = tuple(txt)
-                    # elsewhere the first raw difference is the first real one
-                    agree = pat == txt
-                    if not agree:
-                        t = next(compress(count(), map(ne, pat, txt)))
-                    if zs:
-                        zset += [d + k for k in zs if k < t]
-                    v = order[top - t]
-                    i += t
-                    if agree:
-                        continue
-                    break
+                t = m - d  # j = 1: the labels left
+                below = size[v] - t
+                if below > 0:
+                    w = order[post[v] - t]
+                    # w is t levels below v (d + t = m), and its subtree is
+                    # all of v's but the t nodes above it
+                    if depths[w] == m and size[w] == below:
+                        pat = prev_pattern[d:]
+                        s = w + d - 1
+                        txt = prev_t[s:s + t]
+                        # the pattern's own 0s: j = 1, so no label of it
+                        # reaches back past its start
+                        zeros = pat.count(0)
+                        if zeros:
+                            txt = list(txt)
+                            k = -1
+                            for _ in range(zeros):
+                                k = pat.index(0, k + 1)
+                                e = txt[k]
+                                if type(e) is int and e > d + k:
+                                    txt[k] = 0
+                            txt = tuple(txt)
+                        if pat == txt:
+                            return SegmentWalk(j, w, m, zset)
+                        last = 0
             e = prev_t[nxt + d - 1]
             if type(e) is int and e > d:
                 e = 0
             if e != c:
                 break
-        if c == 0:
+        if c == 0 and j > 1:
             zset.append(i - 1)
         v = nxt
         i += 1

@@ -46,8 +46,9 @@ def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
     ``aug.subtree_size`` long and ending at the node's own number, holds
     exactly the node's descendants by parent chain, that the run is what
     ``subtree_nodes`` lists, reversed, so the bare-heap and augmented
-    matchers see one subtree listing, and that ``aug.chain`` counts the
-    single-child steps below each node."""
+    matchers see one subtree listing, and that the matcher's run test
+    holds for the r single-child steps below each node and fails for
+    r + 1 where the subtree is large enough to ask."""
     count = idx.node_count
     order, _ = preorder_intervals(idx)
     assert order[0] == ROOT
@@ -73,7 +74,19 @@ def check_preorder(idx: PPHIndex, aug: Augmentation) -> None:
             steps += 1
             [w] = kids.values()
             kids = idx.child_map(w)
-        assert aug.chain[v] == steps
+        assert on_one_run(idx, aug, v, steps)
+        if steps + 1 < size:
+            assert not on_one_run(idx, aug, v, steps + 1)
+
+
+def on_one_run(idx: PPHIndex, aug: Augmentation, v: int, t: int) -> bool:
+    """The run test of ``matching.segment_walk``: the t nodes below v in
+    reversed preorder are t single-child steps down from v."""
+    below = aug.subtree_size[v] - t
+    if below <= 0:
+        return False
+    w = aug.order[aug.post[v] - t]
+    return idx.depths[w] == idx.depths[v] + t and aug.subtree_size[w] == below
 
 
 def random_text(rng: random.Random, alphabet: Alphabet, max_n: int,
@@ -104,15 +117,22 @@ def walk(idx: PPHIndex, labels) -> int | None:
 
 
 class CountingLabels:
-    """A sequence that counts its reads."""
+    """A sequence that counts its reads: one per item read, and a slice's
+    length per slice, which ``slices`` also lists."""
 
     def __init__(self, labels):
         self.labels = labels
         self.reads = 0
+        self.slices: list[int] = []
 
     def __getitem__(self, i):
-        self.reads += 1
-        return self.labels[i]
+        got = self.labels[i]
+        if type(i) is slice:
+            self.reads += len(got)
+            self.slices.append(len(got))
+        else:
+            self.reads += 1
+        return got
 
     def __len__(self):
         return len(self.labels)

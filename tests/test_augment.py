@@ -13,7 +13,14 @@ from ppheap.coding import make_alphabet, parse_pstring
 from ppheap.heap import ROOT, audit_index, build_index
 from ppheap.oracle import naive_mrp
 
-from conftest import build_audited, build_augmented, check_preorder, random_text, walk
+from conftest import (
+    CountingLabels,
+    build_audited,
+    build_augmented,
+    check_preorder,
+    random_text,
+    walk,
+)
 
 
 AB_UVXY = make_alphabet(list("ab"), list("uvxy"))
@@ -135,7 +142,7 @@ class TestReachPointers:
                     rng.choices(SYMBOLS, k=3000)):
             idx = build_index(parse_pstring(raw, AB_UVXY))
             prev_text = idx.prev_text
-            counted = idx.prev_text = CountingTuple(prev_text)
+            counted = idx.prev_text = CountingLabels(prev_text)
             try:
                 compute_mrp(idx)
             finally:
@@ -153,16 +160,6 @@ class TestReachPointers:
                 assert depths[i + 1] >= depths[i] - 1
             # the final position's encoded suffix has length one
             assert depths[-1] == 1
-
-
-class CountingTuple(tuple):
-    """A tuple that counts its item reads."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
 
 
 def inside(aug, u, v) -> bool:

@@ -548,6 +548,42 @@ class TestAuditRejects:
             assert getattr(idx, field) == getattr(true, field), field
 
 
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+class TestBuilderWork:
+    """``extend`` reads ``children[cur]`` once per turn of its loop, and each
+    turn either hangs a node or ends the symbol (Kucherov's amortization),
+    so a text of n symbols costs at most n + node_count reads. A builder
+    that looked a node's children up twice per turn would build the same
+    heap with about twice the reads."""
+
+    @staticmethod
+    def check(text):
+        b = Builder(text.alphabet)
+        b._children = children = CountingList(b._children)
+        b.extend(text)
+        assert children.reads <= len(text) + len(children)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(text=audit_texts())
+    def test_random_and_periodic_texts(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("raw", [
+        list("ab") * 1500, list("uavbuxa") * 429, ["x"] * 3000,
+    ], ids=["ab", "period-7", "one-parameter"])
+    def test_deep_texts(self, ab_uvxy, raw):
+        self.check(parse_pstring(raw, ab_uvxy))
+
+
 class TestDegenerate:
     def test_constant_only_equals_plain_suffix_tree(self):
         alpha = make_alphabet(list("ab"), [])

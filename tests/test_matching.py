@@ -523,17 +523,19 @@ TWO_PARAMS = ["x", "y"] + list("aaaxaaaaaaaaay") * 40
 
 
 class TestChainJump:
-    """A walk over an augmentation goes down a run of single-child nodes
-    with one slice comparison; it must end where the label-by-label walk
-    ends, with the same zero labels."""
+    """A whole pattern's walk over an augmentation goes down a run of
+    single-child nodes that holds the rest of the pattern with one slice
+    comparison; it must end where the label-by-label walk ends. A compared
+    run is a slice of ``prev_text``, which the walk takes for nothing else."""
 
     def test_equals_the_plain_walk_from_every_start(self):
         """Periodic texts over ab/xyz, some with symbols changed; renamed
         windows, windows with a symbol changed, and windows with a random
         tail that runs past their chain's end, each suffix walked as a
-        whole pattern, the only walk that jumps."""
+        whole pattern, the only walk that jumps; some of the runs it
+        compares hold the rest of the pattern, others differ."""
         rng = random.Random(61)
-        walks = jumps = 0
+        walks = jumps = differ = 0
         for _ in range(60):
             n = rng.randint(20, 300)
             block = rng.choices("abxyz", k=rng.randint(1, 8))
@@ -541,7 +543,7 @@ class TestChainJump:
             for _ in range(rng.randint(0, 3)):
                 text[rng.randrange(n)] = rng.choice("abxyz")
             idx, aug = build_augmented(text, AB_XYZ)
-            aug.order = order = CountingLabels(aug.order)
+            idx.prev_text = labels = CountingLabels(idx.prev_text)
             for kind in ("renamed", "changed", "tail") * 2:
                 start = rng.randrange(n)
                 pattern = text[start:start + rng.randint(1, n - start)]
@@ -554,13 +556,17 @@ class TestChainJump:
                 p = parse_pstring(pattern, AB_XYZ)
                 for j in range(len(pattern)):
                     prev_p = prev_encode(p[j:])
-                    reads = order.reads
-                    assert segment_walk(idx, prev_p, 1, aug) == segment_walk(idx, prev_p, 1), (
+                    runs = len(labels.slices)
+                    seg = segment_walk(idx, prev_p, 1, aug)
+                    assert seg == segment_walk(idx, prev_p, 1), (
                         "".join(text), "".join(pattern), j)
                     walks += 1
-                    jumps += order.reads > reads
+                    if len(labels.slices) > runs:
+                        jumps += 1
+                        differ += seg.consumed_through < len(prev_p)
                 assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
-        assert walks > 5_000 and jumps > walks // 4
+        # 17,560 walks compare 3,407 runs, 1,601 of them differing
+        assert walks > 5_000 and jumps > walks // 6 and differ > jumps // 3
 
     @pytest.mark.parametrize("pattern", [
         TWO_PARAMS[16:56],
@@ -569,17 +575,18 @@ class TestChainJump:
     def test_labels_collapsing_inside_a_chain(self, pattern):
         """The window's first x and y, 3 and 13 labels in, are 0s of the
         pattern whose text labels refer back past the window; the jump
-        that covers them must go on."""
+        that covers them must go on. A whole pattern's walk records no
+        zero labels: its labels are the window's own encoding."""
         idx, aug = build_augmented(TWO_PARAMS, AB_XYZ)
-        aug.order = order = CountingLabels(aug.order)
+        idx.prev_text = labels = CountingLabels(idx.prev_text)
         p = parse_pstring(pattern, AB_XYZ)
         prev_p = prev_encode(p)
         seg = segment_walk(idx, prev_p, 1, aug)
-        assert order.reads >= 1
+        assert labels.slices
         assert seg == segment_walk(idx, prev_p, 1)
         assert seg.consumed_through == len(pattern)
+        assert seg.zero_positions == []
         offsets = [3, 13]
-        assert seg.zero_positions == offsets
         assert [prev_p[k] for k in offsets] == [0, 0]
         assert [idx.prev_text[16 + k] for k in offsets] == [14, 14]
         assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
@@ -601,3 +608,142 @@ class TestChainJump:
             seg = segment_walk(idx, prev_p, 1, aug)
             assert seg.consumed_through == 1000
             assert children.reads <= 4
+
+    def test_no_jump_where_only_the_size_test_passes(self):
+        """Node 1 has one child and a subtree of 9 nodes, and the pattern
+        has 8 labels left there. The node 8 numbers below it, 13, has a
+        subtree of 9 - 8 nodes but lies at depth 7, not 9: node 1's run
+        branches before the pattern ends. So the rest is not on one run,
+        and the walk must step; a size test alone would jump to 13 and
+        claim all 9 labels, since the pattern is 13's own text window."""
+        text = "abababababababababbba"
+        idx, aug = build_augmented(text, AB_XYZ)
+        prev_p = prev_encode(parse_pstring(text[12:], AB_XYZ))
+        assert walk(idx, "a") == 1 and list(idx.child_map(1)) == ["b"]
+        w = aug.order[aug.post[1] - 8]
+        assert (w, aug.subtree_size[1], aug.subtree_size[w], idx.depths[w]) == (13, 9, 1, 7)
+        idx.prev_text = labels = CountingLabels(idx.prev_text)
+        seg = segment_walk(idx, prev_p, 1, aug)
+        assert labels.slices == []
+        assert seg == segment_walk(idx, prev_p, 1) == (1, 13, 7, [])
+
+    def test_no_slice_where_the_pattern_leaves_the_first_path(self):
+        """The root's first path in preorder reaches depth 11 at node 20,
+        but node 2 on it branches, and the pattern, the text's first 11
+        symbols, takes node 2's other child. A depth test alone would
+        compare the pattern with node 20's window, find a difference and
+        step all 11 labels; the walk must step to node 3 instead, whose run
+        holds the last 8 labels, and compare those."""
+        text = "xzxy" * 7 + "xz"
+        idx, aug = build_augmented(text, AB_XYZ)
+        prev_p = prev_encode(parse_pstring(text[:11], AB_XYZ))
+        w = aug.order[aug.post[ROOT] - 11]
+        assert (w, idx.depths[w], len(idx.child_map(2))) == (20, 11, 2)
+        assert segment_walk(idx, prev_p, 1) == (1, 19, 11, [])
+        idx.prev_text = labels = CountingLabels(idx.prev_text)
+        assert segment_walk(idx, prev_p, 1, aug) == (1, 19, 11, [])
+        assert labels.slices == [8] and labels.reads == 10
+
+    @pytest.mark.parametrize("start,m,k", [
+        (0, 300, 9), (1, 300, 150), (2, 300, 299), (700, 40, 20),
+    ])
+    def test_run_that_differs_is_stepped(self, start, m, k):
+        """A renamed window of ``xaxyb`` * 400 with symbol k changed lies on
+        one run, so the walk compares it once, then steps to the label
+        that differs: at most 2 t labels of ``prev_text`` for the t labels
+        compared. A walk that tested again at every step would read about
+        t^2 / 2."""
+        text = list("xaxyb") * 400
+        idx = build_index(parse_pstring(text, AB_XYZ))
+        aug = augment(idx)
+        window = [{"x": "z", "y": "x"}.get(c, c) for c in text[start:start + m]]
+        window[k] = "b" if window[k] != "b" else "a"
+        prev_p = prev_encode(parse_pstring(window, AB_XYZ))
+        plain = segment_walk(idx, prev_p, 1)
+        idx.prev_text = labels = CountingLabels(idx.prev_text)
+        seg = segment_walk(idx, prev_p, 1, aug)
+        assert seg == plain and seg.consumed_through == k
+        [t] = labels.slices
+        assert t >= matching.JUMP and labels.reads <= 2 * t
+
+
+class TestWorkCounts:
+    """The query's work as exact read counts. Over an augmentation,
+    ``prev_text`` and ``children`` are each read at most occ + 2 m + C times,
+    where a slice counts its length; C is the most that was measured on
+    these families, rounded up. Together they can reach about 3 m: a run that differs
+    at its last label costs its slice and then two reads per label stepped.
+    The most measured is 25, on ``prev_text`` in a late-mismatch case with
+    m = 51: its zero labels are re-checked for each candidate. From the
+    bare heap, the direct checks of path positions read at most n
+    labels, the limit that the rule in ``match_pattern`` sets."""
+
+    C = 32
+
+    @staticmethod
+    def counted(idx, aug, p):
+        prev_text, children = idx.prev_text, idx.children
+        idx.prev_text = labels = CountingLabels(prev_text)
+        idx.children = kids = CountingLabels(children)
+        try:
+            hits = match_pattern(idx, aug, p)
+        finally:
+            idx.prev_text, idx.children = prev_text, children
+        bound = len(hits) + 2 * len(p) + TestWorkCounts.C
+        assert labels.reads <= bound and kids.reads <= bound
+        return hits
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=late_mismatch_cases())
+    def test_late_mismatch(self, case):
+        text, pattern = case
+        idx = build_index(parse_pstring(text, AB_UVXY))
+        p = parse_pstring(pattern, AB_UVXY)
+        assert self.counted(idx, augment(idx), p) == naive_match(idx.text, p)
+
+    def test_periodic_windows(self):
+        """Renamed windows of ``xaxyb`` * 1,250, whole or with one symbol
+        changed, so that the run they lie on differs first, halfway or
+        last."""
+        text = list("xaxyb") * 1250
+        idx = build_index(parse_pstring(text, AB_XYZ))
+        aug = augment(idx)
+        for m in (16, 64, 256, 1024):
+            for start in (0, 1, 2, 3, 4, 2000):
+                for k in (None, 0, m // 2, m - 1):
+                    window = [{"x": "z", "y": "x"}.get(c, c) for c in text[start:start + m]]
+                    if k is not None:
+                        window[k] = "b" if window[k] != "b" else "a"
+                    p = parse_pstring(window, AB_XYZ)
+                    hits = self.counted(idx, aug, p)
+                    assert (start + 1 in hits) == (k is None)
+
+    def test_bare_heap_reads_at_most_n_labels(self, monkeypatch):
+        real = matching._direct_hits
+        reads: list[int] = []
+
+        def direct(idx, prev_p, walk):
+            prev_text = idx.prev_text
+            idx.prev_text = labels = CountingLabels(prev_text)
+            try:
+                return real(idx, prev_p, walk)
+            finally:
+                idx.prev_text = prev_text
+                reads.append(labels.reads)
+                assert labels.reads <= idx.n
+
+        monkeypatch.setattr(matching, "_direct_hits", direct)
+        near = 0  # queries whose direct checks read over n / 2 labels
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(10, 120)
+            text = (rng.choices(SYMBOLS, k=rng.randint(1, 4)) * n)[:n]
+            start = rng.randrange(n)
+            pattern = text[start:start + rng.randint(1, 24)]
+            pattern[-1] = rng.choice(SYMBOLS)  # often a late mismatch
+            idx = build_index(parse_pstring(text, AB_UVXY))
+            p = parse_pstring(pattern, AB_UVXY)
+            reads.clear()
+            assert match_pattern(idx, None, p) == naive_match(idx.text, p)
+            near += bool(reads) and reads[0] > idx.n // 2
+        assert near >= 30  # 47 of the 300

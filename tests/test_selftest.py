@@ -170,15 +170,18 @@ class TestShapes:
 
         real_walk = matching_mod.segment_walk
 
-        jump_orders: list[CountingLabels] = []
-
         def walk(idx, prev_pattern, j, aug=None):
             if j > 1:
                 reached["segment walk from j > 1"] += 1
-            if aug is not None and type(aug.order) is not CountingLabels:
-                aug.order = CountingLabels(aug.order)
-                jump_orders.append(aug.order)
-            return real_walk(idx, prev_pattern, j, aug)
+            # a walk slices prev_text only to compare a run
+            prev_text = idx.prev_text
+            idx.prev_text = labels = CountingLabels(prev_text)
+            try:
+                return real_walk(idx, prev_pattern, j, aug)
+            finally:
+                idx.prev_text = prev_text
+                if any(t >= matching_mod.JUMP for t in labels.slices):
+                    reached["chain jump"] += 1
 
         real_window = matching_mod._window_matches
 
@@ -204,8 +207,6 @@ class TestShapes:
         monkeypatch.setattr(matching_mod, "_window_matches", window)
 
         assert run_selftest(trials, seed=7) is None
-        if any(order.reads for order in jump_orders):
-            reached["chain jump"] += 1
 
         assert shapes == [SHAPES[(t - 1) % len(SHAPES)][:2] for t in range(1, trials + 1)]
         assert set(reached) == {"bare-heap answer", "augmentation fallback",
