@@ -41,21 +41,20 @@ class Augmentation:
     number. ``order[post[v] - k]`` for k = 1, 2, ... are the nodes after v
     in preorder: v's first child, its first child, and so on while the
     depth rises by one per step. ``rank[p]`` is ``post`` of position p's
-    reach node, for p = 1..n, so ``order[rank[p]]`` is that node;
-    ``rank[0]`` is 0, padding that no interval test may read (0 numbers
-    the last node in preorder). p reaches into v's subtree exactly when
-    ``post[v] - subtree_size[v] < rank[p] <= post[v]``. ``by_reach`` lists
-    the positions 1..n by their reach node's number, ascending among equals;
-    the positions whose reach has number k are
+    reach node, for p = 1..n; ``rank[0]`` is 0, padding that no interval
+    test may read (0 numbers the last node in preorder). p reaches into v's
+    subtree exactly when ``post[v] - subtree_size[v] < rank[p] <= post[v]``.
+    ``by_reach`` lists the positions 1..n by their reach node's number,
+    ascending among equals; the positions whose reach has number k are
     ``by_reach[reach_start[k]:reach_start[k + 1]]``, so those reaching into
     a subtree are one slice. ``descents[k]`` counts the steps down in
     ``by_reach[:k + 1]``, so a nonempty slice ``[a, b)`` is ascending
     exactly when ``descents[b - 1] == descents[a]``. All but ``by_reach``
     are ``array('i')``; ``order`` takes 4 B per node. The reach pointers
-    themselves (``compute_mrp``) are not kept: ``rank`` and ``order`` give
-    them back. ``by_reach`` is a list, so a slice of it is an answer at
-    once; its int objects are created in its order, so each slice reads
-    contiguous memory (``augment`` hands them to the index).
+    themselves (``compute_mrp``) are not kept. ``by_reach`` is a list, so a
+    slice of it is an answer at once; its int objects are created in its
+    order, so each slice reads contiguous memory (``augment`` hands them to
+    the index).
     Immutable once built; share it freely together with its index.
     """
 

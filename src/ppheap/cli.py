@@ -92,8 +92,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_export_dot(args) -> int:
     bundle = load(args.index)
-    Path(args.out).write_text(to_dot(bundle.index, bundle.augmentation),
-                              encoding="utf-8")
+    Path(args.out).write_text(to_dot(bundle.index), encoding="utf-8")
     return EXIT_OK
 
 

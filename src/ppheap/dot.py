@@ -1,14 +1,15 @@
 """Graphviz rendering of an index with its pointer overlays.
 
-Tree edges carry their label and are listed per node in creation order,
-suffix pointers are dashed, and reach pointers that leave their own node
-are drawn as a bold gray edge tagged with the text position they belong
-to. Output is byte-identical across runs for the same index.
+Tree edges carry their label and are listed per node oldest first,
+suffix pointers are dashed, and reach pointers (one ``compute_mrp`` sweep,
+no augmentation) that leave their own node are drawn as a bold gray edge
+tagged with the text position they belong to. Output is byte-identical
+across runs for the same index.
 """
 
 from __future__ import annotations
 
-from .augment import Augmentation
+from .augment import compute_mrp
 from .heap import ROOT, PPHIndex
 
 
@@ -25,7 +26,7 @@ def _node_label(idx: PPHIndex, v: int) -> str:
     return f"{v}/{secondary}"
 
 
-def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
+def to_dot(idx: PPHIndex) -> str:
     """Render the index and its reach pointers as DOT text."""
     out = [
         "digraph pheap {",
@@ -39,11 +40,8 @@ def to_dot(idx: PPHIndex, aug: Augmentation) -> str:
     for v in range(1, idx.node_count):
         out.append(f"  n{v} -> n{idx.suffixes[v]} [style=dashed, constraint=false];")
     # a secondary reaches the node that stores it and a leaf's primary
-    # the leaf, so only the primary v of an internal node v can leave it;
-    # its reach is the node numbered with its reach rank
-    order, rank = aug.order, aug.rank
-    for v in range(1, idx.node_count):
-        target = order[rank[v]]
+    # the leaf, so only the primary v of an internal node v can leave it
+    for v, target in zip(range(1, idx.node_count), compute_mrp(idx)):
         if target != v:
             out.append(
                 f'  n{v} -> n{target} '

@@ -21,13 +21,14 @@ lies in the segment's interval: the end node's own number, or, for the
 last segment, the end node's subtree run. A label that collapsed to 0
 inside a segment lost a back-reference across its boundary, so it is
 re-checked against the text: at most one check per parameter symbol per
-segment. Once c candidates survive with the labels i..m still to read and
-c * (m - i + 1) <= m, the filter stops walking segments and checks those
-labels of each candidate against the text directly. Those checks read at
-most m labels, no more than the filter reads from the pattern, so the
-query stays within the paper's O(m(sigma + pi) + occ) bound. All three
-checks against the text (path primaries, zero labels, the labels a
-candidate has left) call ``_window_matches`` with their 0-based offsets.
+surviving candidate. Once c candidates survive with the labels i..m still
+to read and c * (m - i + 1) <= m, the filter stops walking segments and
+checks those labels of each candidate against the text directly. Those
+checks read at most m labels, no more than the filter reads from the
+pattern, so the query stays within the paper's O(m(sigma + pi) + occ)
+bound. All three checks against the text (path primaries, zero labels,
+the labels a candidate has left) call ``_window_matches`` with their
+0-based offsets.
 
 Over an augmentation, once the rest of the pattern (at least ``JUMP``
 labels) lies on one run of single-child nodes, a compressed edge of the

@@ -474,7 +474,12 @@ class TestDoubleDashValue:
 
 
 class TestLazyAugmentation:
-    """Loading rebuilds the heap only; the augmentation is computed on first use."""
+    """Loading rebuilds the heap only; the augmentation is computed on first use.
+
+    ``stats`` and ``export-dot`` never use it (the rendering takes its reach
+    pointers from one ``compute_mrp`` sweep), and a query computes it at
+    most once.
+    """
 
     def test_stats_computes_no_augmentation(self, workspace, capsys, monkeypatch):
         index = build_demo(workspace, capsys)
@@ -486,6 +491,21 @@ class TestLazyAugmentation:
         code, out, _ = run(["stats", "--index", str(index)], capsys)
         assert code == 0
         assert out == "n=10\nnodes=10\ndouble=1\ndepth=3\n"
+
+    def test_export_dot_computes_no_augmentation(self, workspace, capsys,
+                                                 monkeypatch):
+        index = build_demo(workspace, capsys)
+
+        def refuse(idx):
+            raise AssertionError("export-dot computed the augmentation")
+
+        monkeypatch.setattr(storage, "augment", refuse)
+        monkeypatch.setattr(matching, "augment", refuse)
+        code, _, _ = run(["export-dot", "--index", str(index),
+                          "--out", str(workspace / "t.dot")], capsys)
+        assert code == 0
+        # the bold reach edges included
+        assert (workspace / "t.dot").read_text() == DEMO_DOT
 
     def test_one_shot_query_computes_none(self, workspace, capsys, monkeypatch):
         # the README query descends to depth 3 with m = 5: the path
@@ -502,16 +522,10 @@ class TestLazyAugmentation:
         assert code == 0
         assert out == "2\n6\n"
 
-    @pytest.mark.parametrize("argv,out", [
-        (["query", "--pattern", "x" * 150, "--verify"],
-         "".join(f"{i}\n" for i in range(1, 52))),
-        (["export-dot", "--out", "t.dot"], ""),
-    ], ids=["deep-query", "export-dot"])
-    def test_readers_compute_it_once(self, workspace, capsys, monkeypatch, argv, out):
-        if argv[0] == "query":
-            # a one-parameter chain 100 deep: the descent stops at depth
-            # 100, and 100 path primaries need far more than n = 200 checks
-            (workspace / "text.txt").write_text("x" * 200 + "\n")
+    def test_deep_query_computes_it_once(self, workspace, capsys, monkeypatch):
+        # a one-parameter chain 100 deep: the descent stops at depth 100,
+        # and 100 path primaries need far more than n = 200 checks
+        (workspace / "text.txt").write_text("x" * 200 + "\n")
         index = build_demo(workspace, capsys)
         calls = []
 
@@ -521,12 +535,10 @@ class TestLazyAugmentation:
 
         monkeypatch.setattr(storage, "augment", counted)
         monkeypatch.setattr(matching, "augment", counted)
-        monkeypatch.chdir(workspace)
-        code, got, _ = run(argv + ["--index", str(index)], capsys)
+        code, out, _ = run(["query", "--pattern", "x" * 150, "--verify",
+                            "--index", str(index)], capsys)
         assert code == 0 and len(calls) == 1
-        assert got == out
-        if argv[0] == "export-dot":
-            assert "style=bold" in (workspace / "t.dot").read_text()
+        assert out == "".join(f"{i}\n" for i in range(1, 52))
 
 
 class TestStats:

@@ -516,6 +516,7 @@ class TestFilterSwitch:
 
 
 AB_XYZ = make_alphabet(list("ab"), list("xyz"))
+YVU = make_alphabet([], list("yvu"))
 # period 14 after its first x and y, so every later x or y refers back 14
 # labels: in a window that starts at an "a", its first x and y refer back
 # past the window in the text, but are 0s of a pattern
@@ -668,20 +669,27 @@ class TestChainJump:
 
 
 class TestWorkCounts:
-    """The query's work as exact read counts. Over an augmentation,
-    ``prev_text`` and ``children`` are each read at most occ + 2 m + C times,
-    where a slice counts its length; C is the most that was measured on
-    these families, rounded up. Together they can reach about 3 m: a run that differs
+    """The query's work as exact read counts. Over an augmentation, on the
+    late-mismatch family and on the periodic windows, ``prev_text`` and
+    ``children`` are each read at most occ + 2 m + C times, where a slice
+    counts its length; C is the most that was measured on these families,
+    rounded up. Together they can reach about 3 m: a run that differs
     at its last label costs its slice and then two reads per label stepped.
     The most measured is 25, on ``prev_text`` in a late-mismatch case with
-    m = 51: its zero labels are re-checked for each candidate. From the
-    bare heap, the direct checks of path positions read at most n
-    labels, the limit that the rule in ``match_pattern`` sets."""
+    m = 51: its zero labels are re-checked for each candidate. That bound
+    does not hold for every input: the zero labels of a segment are
+    re-checked per surviving candidate, so on all-parameter texts, where
+    nearly every candidate survives, ``prev_text`` reads grow with the
+    candidates; ``test_zero_label_rechecks`` bounds them by 2 occ + 2 m
+    instead. From the bare heap, the direct checks of path
+    positions read at most n labels, the limit that the rule in
+    ``match_pattern`` sets."""
 
     C = 32
 
     @staticmethod
-    def counted(idx, aug, p):
+    def reads(idx, aug, p):
+        """The answer, and how often ``prev_text`` and ``children`` were read."""
         prev_text, children = idx.prev_text, idx.children
         idx.prev_text = labels = CountingLabels(prev_text)
         idx.children = kids = CountingLabels(children)
@@ -689,8 +697,13 @@ class TestWorkCounts:
             hits = match_pattern(idx, aug, p)
         finally:
             idx.prev_text, idx.children = prev_text, children
-        bound = len(hits) + 2 * len(p) + TestWorkCounts.C
-        assert labels.reads <= bound and kids.reads <= bound
+        return hits, labels.reads, kids.reads
+
+    @classmethod
+    def counted(cls, idx, aug, p):
+        hits, labels, kids = cls.reads(idx, aug, p)
+        bound = len(hits) + 2 * len(p) + cls.C
+        assert labels <= bound and kids <= bound
         return hits
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -717,6 +730,24 @@ class TestWorkCounts:
                     p = parse_pstring(window, AB_XYZ)
                     hits = self.counted(idx, aug, p)
                     assert (start + 1 in hits) == (k is None)
+
+    @pytest.mark.parametrize("reps,start,m,occ", [
+        (74, 1, 114, 109),
+        (1280, 0, 1923, 1918),
+    ], ids=["yvu-74", "yvu-1280"])
+    def test_zero_label_rechecks(self, reps, start, m, occ):
+        """All-parameter ``yvu`` texts, m just above the heap depth (111 and
+        1,920), so that nearly every candidate survives into the last
+        segment and has its zero labels re-checked there: ``prev_text`` is
+        read 2 occ + 2 m - 5 times, beyond occ + 2 m + C, and ``children``
+        m + 1 times."""
+        text = "yvu" * reps
+        idx = build_index(parse_pstring(text, YVU))
+        p = parse_pstring(text[start:start + m], YVU)
+        hits, labels, kids = self.reads(idx, augment(idx), p)
+        assert hits == naive_match(idx.text, p) and len(hits) == occ
+        assert labels <= 2 * occ + 2 * m
+        assert kids <= occ + 2 * m + self.C
 
     def test_bare_heap_reads_at_most_n_labels(self, monkeypatch):
         real = matching._direct_hits

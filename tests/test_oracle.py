@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ppheap.coding import parse_pstring, prev_encode
+from ppheap.coding import make_alphabet, parse_pstring, prev_encode
 from ppheap.oracle import (
     naive_match,
     naive_mrp,
@@ -146,3 +146,10 @@ class TestTreesEqual:
         idx = build_audited("x", a_xy)
         other = parse_pstring("a", a_xy)
         assert not trees_equal(idx, naive_pph(other))
+
+    def test_same_shape_other_positions(self):
+        # both heaps are a root with the children a and b, but "a" holds
+        # position 1 in one and position 2 in the other
+        ab = make_alphabet(["a", "b"], [])
+        idx = build_audited("ab", ab)
+        assert not trees_equal(idx, naive_pph(parse_pstring("ba", ab)))

@@ -29,10 +29,9 @@ class TestPathShapedHeap:
     def test_deep_chain_round_trip_and_dot(self):
         alpha = make_alphabet([], ["x"])
         idx = build_index(parse_pstring("x" * 2000, alpha))
-        aug = augment(idx)
-        blob = dumps(IndexBundle(idx, aug, "char"))
+        blob = dumps(IndexBundle(idx, None, "char"))
         assert dumps(loads(blob)) == blob
-        assert to_dot(idx, aug).startswith("digraph")
+        assert to_dot(idx).startswith("digraph")
 
     def test_deep_chain_audit(self):
         alpha = make_alphabet([], ["x"])

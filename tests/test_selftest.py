@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import statistics
-import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -183,17 +182,23 @@ class TestShapes:
                 if any(t >= matching_mod.JUMP for t in labels.slices):
                     reached["chain jump"] += 1
 
+        real_filter = matching_mod._filtered_hits
+        filtering = [0]  # the calls of _filtered_hits under way
+
+        def filtered(*args):
+            filtering[0] += 1
+            try:
+                return real_filter(*args)
+            finally:
+                filtering[0] -= 1
+
         real_window = matching_mod._window_matches
 
         def window(prev_t, prev_p, pos, offsets):
             # the few-candidates switch checks the rest of each window as a
-            # range, from _filtered_hits or from a comprehension frame inside
-            # it (Python 3.12 inlines those); the zero-label re-check passes
-            # a list, and the bare-heap path runs outside _filtered_hits
-            caller = sys._getframe(1)
-            while caller and caller.f_code.co_name != "_filtered_hits":
-                caller = caller.f_back
-            if type(offsets) is range and caller:
+            # range from inside _filtered_hits; the zero-label re-check
+            # passes a list, and the bare-heap path runs outside it
+            if type(offsets) is range and filtering[0]:
                 reached["few-candidates switch"] += 1
             return real_window(prev_t, prev_p, pos, offsets)
 
@@ -204,6 +209,7 @@ class TestShapes:
         monkeypatch.setattr(matching_mod, "augment",
                             counted("augmentation fallback", matching_mod.augment))
         monkeypatch.setattr(matching_mod, "segment_walk", walk)
+        monkeypatch.setattr(matching_mod, "_filtered_hits", filtered)
         monkeypatch.setattr(matching_mod, "_window_matches", window)
 
         assert run_selftest(trials, seed=7) is None
