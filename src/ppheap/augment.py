@@ -15,7 +15,10 @@ tells in O(1) whether a slice is already ascending. The list's int
 objects are created in list order, so a slice copies one contiguous run
 of memory rather than node ids scattered in build order; the index's
 children entries then take these objects in place of the builder's, and
-the two still share one int per node. A node with one child is numbered
+the two still share one int per node. The run is contiguous because the
+builder frees no per-node int before ``augment``, which would leave holes
+among the live ints for the new ones to fall into; ints that a caller
+freed before can still scatter it. A node with one child is numbered
 one above that child, so a run of single-child nodes is a run of numbers;
 with the numbering's inverse, the node t numbers below v, its depth and
 its subtree size tell in O(1) whether the t nodes below v form one run,
@@ -54,7 +57,8 @@ class Augmentation:
     themselves (``compute_mrp``) are not kept. ``by_reach`` is a list, so a
     slice of it is an answer at once; its int objects are created in its
     order, so each slice reads contiguous memory (``augment`` hands them to
-    the index).
+    the index). That holds since the builder frees no per-node int before
+    them; a caller's own earlier frees can still scatter them.
     Immutable once built; share it freely together with its index.
     """
 

@@ -61,7 +61,7 @@ def cmd_query(args) -> int:
     except (UnknownSymbol, EmptyPattern) as exc:
         print(f"bad pattern: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    sys.stdout.write("".join(f"{i}\n" for i in hits))
+    sys.stdout.write("%d\n" * len(hits) % tuple(hits))
     if args.verify:
         want = naive_match(idx.text, pattern)
         if hits != want:

@@ -53,14 +53,16 @@ class PPHIndex:
     ``prev_text`` its prev-encoding. The arena is held as parallel per-node
     sequences indexed by node id: ``parents`` (-1 for the root),
     ``depths``, ``children``, ``suffixes`` (BOTTOM for the root);
-    ``parents``, ``depths`` and ``suffixes`` are ``array('i')``. A
-    ``children`` entry is None for a leaf, the child's id (an ``int``) for
-    a node with one child, and a dict label -> child id, in creation order
-    and so in ascending id, for a node with two or more; ``child_map``
-    gives any node's children as a dict. A node's incoming edge label is
-    not stored: ``edge_label`` derives it from ``prev_text`` and the depth.
-    Every non-root node v holds primary position v, and its parent's id is
-    below v. ``secondaries`` maps the node ids of double nodes to their
+    ``parents``, ``depths`` and ``suffixes`` are ``array('i')``, and no
+    sequence holds spare capacity. The builder keeps parents and depths in
+    arrays from the start, so building an index frees no int object per
+    node. A ``children`` entry is None for a leaf, the child's id (an
+    ``int``) for a node with one child, and a dict label -> child id, in
+    creation order and so in ascending id, for a node with two or more;
+    ``child_map`` gives any node's children as a dict. A node's incoming
+    edge label is not stored: ``edge_label`` derives it from ``prev_text``
+    and the depth. Every non-root node v holds primary position v, and its
+    parent's id is below v. ``secondaries`` maps the node ids of double nodes to their
     secondary position. Treat a finalized index as read-only; concurrent
     queries over it are safe. ``augment`` swaps the id objects of the
     children entries for equal ones; no value changes.
@@ -147,6 +149,14 @@ class Builder:
     positions from the active position through k are pending and get
     materialized as secondary positions by finalize(). finalize() consumes
     the builder; snapshot() finalizes a copy so the stream can continue.
+    The arena holds a slot for the root and for each position read, since
+    node v is created for position v; the slots from the active position
+    on hold no node yet, and finalize() copies the others. Parents and
+    depths are ``array('i')`` from the start, and the int objects in the
+    other lists, node ids and labels, pass to the index, so finalize()
+    frees none. A list of depths, one int object each above 256, would be
+    freed there and leave holes among the index's node ids that the ints
+    of ``augment``'s reach-ordered list then fall into.
     """
 
     __slots__ = ("alphabet", "_last", "_symbols", "_prev", "_parents",
@@ -159,8 +169,8 @@ class Builder:
         self._symbols: list[Symbol] = []
         self._prev: list[PrevLabel] = []
         # arena with the root node only
-        self._parents: list[int] = [-1]
-        self._depths: list[int] = [0]
+        self._parents = array("i", [-1])
+        self._depths = array("i", [0])
         self._children: list[int | dict | None] = [None]
         self._suffixes: list[int] = [BOTTOM]
         self._active_node = ROOT
@@ -170,37 +180,46 @@ class Builder:
     @property
     def suffix_steps(self) -> int:
         """Total suffix-pointer traversals so far: one per created node."""
-        return len(self._parents) - 1
+        return self._active_pos - 1
 
     def extend(self, symbols: Iterable[Symbol]) -> None:
         """Consume raw symbols in order, updating the heap for each longer text.
 
         Each symbol is prev-encoded, then new nodes are hung along suffix
         pointers from the active node until one already has the child. The
-        loop keeps the builder's state in locals and writes it back on the
-        way out, so an undeclared symbol raises UnknownSymbol naming its
-        position with the symbols before it consumed and nothing of its own
-        recorded.
+        symbols are appended at once, each as its own label, and a
+        parameter's label is overwritten as it is read; the arena grows
+        once, by a slot per symbol, and the nodes are written into their
+        slots. The loop keeps the builder's state in locals and writes it
+        back on the way out, so an undeclared symbol raises UnknownSymbol
+        naming its position with the symbols before it consumed and nothing
+        of its own recorded, its slot and the later ones included.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
         is_param_of = self.alphabet._is_param
         last_at = self._last
-        add_symbol = self._symbols.append
+        syms = self._symbols
         prev = self._prev
-        add_label = prev.append
-        add_parent = self._parents.append
-        add_depth = self._depths.append
-        add_children = self._children.append
-        add_suffix = self._suffixes.append
+        parents = self._parents
         depths = self._depths
         children = self._children
         suffixes = self._suffixes
-        k = len(self._symbols)
+        k = len(syms)
         node = self._active_node
         spos = self._active_pos
         try:
-            for sym in symbols:
+            new = tuple(symbols)  # no copy of a tuple, as build_index passes
+            syms += new
+            prev += new
+            room = len(new)
+            zeros = bytes(room * parents.itemsize)
+            parents.frombytes(zeros)
+            depths.frombytes(zeros)
+            children += [None] * room
+            suffixes += [BOTTOM] * room
+            d = depths[node]  # the active node's depth
+            for sym in new:
                 try:
                     is_param = is_param_of[sym]
                 except KeyError:
@@ -210,18 +229,16 @@ class Builder:
                 if is_param:
                     label = k - last_at.get(sym, k)
                     last_at[sym] = k
-                add_symbol(sym)
-                add_label(label)
+                    prev[k - 1] = label
 
                 # The node created for position spos gets id spos, and its
                 # suffix pointer is the next node created in this chain, or
-                # the node that ends the chain: each suffix entry is appended
+                # the node that ends the chain: each suffix entry is written
                 # one node late. d is cur's depth; -1 is the virtual node,
                 # which accepts every label. A single child w of cur has
                 # the label prev[w + d - 1], re-normalized to d.
                 first = spos
                 cur = node
-                d = depths[cur]
                 c = 0 if is_param and label > d else label
                 while d >= 0:
                     kids = children[cur]
@@ -240,11 +257,10 @@ class Builder:
                         if nxt is not None:
                             break
                         kids[c] = spos
-                    add_parent(cur)
-                    add_depth(d + 1)
-                    add_children(None)
+                    parents[spos] = cur
+                    depths[spos] = d + 1
                     if spos > first:
-                        add_suffix(spos)
+                        suffixes[spos - 1] = spos
                     spos += 1
                     cur = suffixes[cur]
                     d -= 1
@@ -253,43 +269,49 @@ class Builder:
                 else:
                     nxt = ROOT
                 if spos > first:
-                    add_suffix(nxt)
+                    suffixes[spos - 1] = nxt
                 node = nxt
+                d += 1  # nxt's depth
         finally:
             self._active_node = node
             self._active_pos = spos
+            if len(syms) > k:
+                del syms[k:], prev[k:]
+                del parents[k + 1:], depths[k + 1:], children[k + 1:], suffixes[k + 1:]
 
     def finalize(self) -> PPHIndex:
         """Assign the pending secondary positions and freeze the arena.
 
-        Hands over the children list as it is and a fresh tuple or
-        ``array('i')`` of every other per-symbol or per-node list. Consumes
-        the builder; further extends raise.
+        Hands over exact-size copies of the arena's nodes and a tuple of
+        each per-symbol list. The copies create and free no int object.
+        Consumes the builder; further extends raise.
         """
         if self._done:
             raise RuntimeError("builder already finalized")
         self._done = True
+        count = self._active_pos
+        suffixes = self._suffixes
+        del suffixes[count:]
         secondaries: dict[int, int] = {}
         cur = self._active_node
-        suffixes = self._suffixes
-        for spos in range(self._active_pos, len(self._symbols) + 1):
+        for spos in range(count, len(self._symbols) + 1):
             secondaries[cur] = spos
             cur = suffixes[cur]
         text = PString(tuple(self._symbols), self.alphabet)
-        return PPHIndex(text, tuple(self._prev),
-                        array("i", self._parents),
-                        array("i", self._depths), self._children, secondaries,
-                        array("i", suffixes))
+        return PPHIndex(text, tuple(self._prev), self._parents[:count],
+                        self._depths[:count], self._children[:count],
+                        secondaries, array("i", suffixes))
 
     def snapshot(self) -> PPHIndex:
         """Finalize a copy, leaving this builder usable mid-stream.
 
-        finalize() copies every list except the children, so the list is
-        copied here, and of its entries only the dicts, which later
-        extends mutate in place. Raises like finalize() once the builder is
-        finalized.
+        finalize() trims the suffix list in place and copies the children
+        list but not the dicts in it, which later extends mutate in place,
+        so these are copied here. Raises like finalize() once the builder
+        is finalized.
         """
         dup = copy.copy(self)
+        dup._suffixes = self._suffixes[:]
         dup._children = [d.copy() if type(d) is dict else d for d in self._children]
         return dup.finalize()
 

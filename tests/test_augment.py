@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ppheap
 from ppheap.augment import augment, compute_mrp, preorder_intervals
 from ppheap.coding import make_alphabet, parse_pstring
 from ppheap.heap import ROOT, audit_index, build_index
@@ -315,6 +320,33 @@ class TestReachOrder:
             assert got == sorted(got)
             hi = aug.post[v] + 1
             assert descents[start[hi] - 1] == descents[start[hi - aug.subtree_size[v]]]
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython",
+                        reason="the layout is CPython's small-object allocator's")
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev"]], ids=["plain", "dev"])
+    def test_slices_read_contiguous_ints(self, flags):
+        """``by_reach``'s ints lie one allocator block apart, so that a
+        slice reads contiguous memory, when the build freed no per-node int
+        before ``augment``: a builder that kept the depths of a deep heap in
+        a list, over 256 and so one int object each, and freed them in
+        ``finalize`` left holes that the list's ints fell into. The blocks
+        are 32 bytes apart, 64 under the debug allocator of ``-X dev``. A
+        fresh interpreter, since what earlier tests freed would decide the
+        layout here."""
+        script = (
+            "import collections, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from ppheap import augment, build_index, make_alphabet, parse_pstring\n"
+            "idx = build_index(parse_pstring('xaxybzy' * 3000, make_alphabet('ab', 'xyz')))\n"
+            "assert idx.n == 21_000 and idx.stats().max_depth == 2_627\n"
+            "br = augment(idx).by_reach\n"
+            "gaps = collections.Counter(abs(id(b) - id(a)) for a, b in zip(br, br[1:]))\n"
+            "print(gaps.most_common(1)[0][1] / (len(br) - 1))\n")
+        package_dir = str(Path(ppheap.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-I", *flags, "-c", script, package_dir],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) >= 0.75
 
     def test_leaf_yields_its_primary(self, a_xy):
         idx, aug = build_augmented("x", a_xy)

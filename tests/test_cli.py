@@ -334,6 +334,22 @@ class TestQuery:
         assert code == 0
         assert out == ""
 
+    def test_answer_is_one_position_per_line(self, tmp_path, capsys):
+        """The output is each position in decimal and a newline, nothing
+        else (``test_no_occurrences_prints_nothing`` has the empty answer)."""
+        (tmp_path / "alpha.txt").write_text("constants a\nparameters xy\n")
+        (tmp_path / "t.txt").write_text("xaya" * 3000 + "\n")
+        run(["build", "--text", str(tmp_path / "t.txt"),
+             "--alphabet", str(tmp_path / "alpha.txt"),
+             "--out", str(tmp_path / "t.pph")], capsys)
+        code, out, _ = run(["query", "--index", str(tmp_path / "t.pph"),
+                            "--pattern", "xa"], capsys)
+        alpha = make_alphabet("a", "xy")
+        want = naive_match(parse_pstring("xaya" * 3000, alpha), parse_pstring("xa", alpha))
+        assert code == 0
+        assert len(want) == 6000
+        assert out == "".join(f"{i}\n" for i in want)
+
     def test_corrupt_index_exits_2(self, workspace, capsys):
         index = build_demo(workspace, capsys)
         magic, rest = index.read_text().split("\n", 1)

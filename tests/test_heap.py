@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,70 @@ class TestBuilderBasics:
         assert idx.text == text
         assert idx.prev_text == prev_encode(text)
         assert trees_equal(idx, naive_pph(text))
+
+
+class TestArena:
+    """``extend`` keeps a slot for the root and each position read, however
+    the symbols arrive and also when an undeclared symbol stops it; a
+    snapshot holds the nodes' part and owns its arrays."""
+
+    def test_every_kind_of_call(self, ab_uvxy):
+        calls = [
+            (("u",), "u"),
+            (list("avbu"), "avbu"),
+            (iter("xaxy"), "xaxy"),
+            (parse_pstring("uvaubuavbv", ab_uvxy), "uvaubuavbv"),
+            ((), ""),
+            (iter("uvzab"), "uv"),  # stopped at z
+            # periodic: the heap grows deep and many positions stay pending,
+            # so many slots hold no node yet
+            (list("uavbuxa") * 40, "uavbuxa" * 40),
+            ("b", "b"),
+        ]
+        b = Builder(ab_uvxy)
+        raw = ""
+        stopped = 0
+        kept = []
+        for symbols, consumed in calls:
+            try:
+                b.extend(symbols)
+            except UnknownSymbol as exc:
+                assert (exc.symbol, exc.position) == ("z", len(raw) + 3)
+                stopped += 1
+            raw += consumed
+            assert [len(b._parents), len(b._depths), len(b._children),
+                    len(b._suffixes)] == [len(raw) + 1] * 4
+            snap = b.snapshot()
+            count = snap.node_count
+            assert [len(snap.parents), len(snap.depths), len(snap.children),
+                    len(snap.suffixes)] == [count] * 4
+            assert b.suffix_steps == count - 1
+            text = parse_pstring(raw, ab_uvxy)
+            assert snap.text == text
+            audit_index(snap)
+            assert trees_equal(snap, naive_pph(text))
+            kept.append((snap, [snap.parents.tolist(), snap.depths.tolist(),
+                                snap.suffixes.tolist()]))
+        assert stopped == 1
+        assert len(kept[-2][0].secondaries) > 30
+        for snap, arrays in kept:
+            assert [snap.parents.tolist(), snap.depths.tolist(),
+                    snap.suffixes.tolist()] == arrays
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython",
+                        reason="sizes are CPython's")
+    def test_index_holds_no_spare_capacity(self, ab_uvxy):
+        """The arena holds a slot per position, a deep heap's many with no
+        node yet; the index's copies of its nodes are exact."""
+        b = Builder(ab_uvxy)
+        b.extend(list("uavbuxa") * 100)
+        snap = b.snapshot()
+        b.extend("uvab")
+        idx = b.finalize()
+        assert len(snap.secondaries) > 80
+        for index in (snap, idx):
+            for seq in (index.parents, index.depths, index.children, index.suffixes):
+                assert sys.getsizeof(seq) == sys.getsizeof(seq[:])
 
 
 class TestInlineEncoding:
@@ -570,7 +635,7 @@ class TestBuilderWork:
         b = Builder(text.alphabet)
         b._children = children = CountingList(b._children)
         b.extend(text)
-        assert children.reads <= len(text) + len(children)
+        assert children.reads <= len(text) + b.suffix_steps + 1
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(text=audit_texts())
