@@ -110,16 +110,16 @@ def _problem(alphabet: Alphabet, text_syms: list[Symbol],
 
 def _shrink_text(text_syms: list[Symbol],
                  failing: Callable[[list[Symbol]], Optional[str]]) -> list[Symbol]:
-    """Greedy 1-deletion shrink: drop any symbol that keeps the failure alive."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(text_syms)):
-            cand = text_syms[:i] + text_syms[i + 1:]
-            if failing(cand) is not None:
-                text_syms = cand
-                changed = True
-                break
+    """Greedy 1-deletion shrink: go round the symbols from the last, dropping each one
+    that keeps the failure alive, and stop after a full round of misses."""
+    i, misses = len(text_syms), 0
+    while misses < len(text_syms):
+        i = (i - 1) % len(text_syms)
+        cand = text_syms[:i] + text_syms[i + 1:]
+        if failing(cand) is not None:
+            text_syms, misses = cand, 0
+        else:
+            misses += 1
     return text_syms
 
 

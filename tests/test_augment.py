@@ -104,15 +104,6 @@ class TestReachPointers:
             for i in range(1, idx.n + 1):
                 assert mrp[i - 1] == naive_mrp(idx, i)
 
-    def test_secondary_reaches_its_own_node(self, ab_uvxy):
-        rng = random.Random(32)
-        for _ in range(40):
-            raw = random_text(rng, ab_uvxy, 48)
-            idx = build_audited(raw, ab_uvxy)
-            mrp = compute_mrp(idx)
-            for v, pos in idx.secondaries.items():
-                assert mrp[pos - 1] == v
-
     def test_known_reach_targets(self, a_xy):
         idx = build_audited("xaxyxyxyyaxyxy", a_xy)
         mrp = compute_mrp(idx)

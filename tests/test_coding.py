@@ -110,11 +110,6 @@ class TestParse:
 
 
 class TestPrevEncode:
-    def test_known_encoding(self, ab_uvxy):
-        expected = (0, 0, 2, 2, "a", 3, 1, 4, "b")
-        assert prev_encode(parse_pstring("uvuvauuvb", ab_uvxy)) == expected
-        assert prev_encode(parse_pstring("xyxyaxxyb", ab_uvxy)) == expected
-
     def test_constants_pass_through(self, ab_uvxy):
         assert prev_encode(parse_pstring("abab", ab_uvxy)) == ("a", "b", "a", "b")
 

@@ -219,15 +219,6 @@ class TestOracleEquivalence:
                 p = parse_pstring(pat_raw, ab_uvxy)
                 assert match_pattern(idx, aug, p) == naive_match(idx.text, p)
 
-    def test_output_sorted_and_unique(self, ab_uvxy):
-        rng = random.Random(44)
-        for _ in range(30):
-            raw = random_text(rng, ab_uvxy, 64, min_n=2)
-            idx, aug = build_augmented(raw, ab_uvxy)
-            pat_raw = random_text(rng, ab_uvxy, 4, min_n=1)
-            got = match_pattern(idx, aug, parse_pstring(pat_raw, ab_uvxy))
-            assert got == sorted(set(got))
-
 
 AB_UVXY = make_alphabet(list("ab"), list("uvxy"))
 SYMBOLS = list("abuvxy")

@@ -11,7 +11,7 @@ import ppheap.matching as matching_mod
 import ppheap.selftest as selftest_mod
 from ppheap.cli import main
 from ppheap.errors import PPHeapError
-from ppheap.selftest import SHAPES, TrialFailure, letters_alphabet, run_selftest
+from ppheap.selftest import SHAPES, TrialFailure, _shrink_text, letters_alphabet, run_selftest
 
 from conftest import CountingLabels
 
@@ -53,6 +53,20 @@ class TestFailureReporting:
         text = failure.describe()
         assert "selftest failure" in text
         assert "oracle found" in failure.detail
+
+    def test_shrink_is_one_minimal_in_linear_calls(self):
+        """No single symbol of the result can go, and a prefix that must stay
+        is not checked again after each deletion behind it."""
+        failing = {("a", "b", "c"), ("b", "c"), ("b",)}
+        assert _shrink_text(list("abc"), lambda t: "" if tuple(t) in failing else None) == ["b"]
+        text, calls = [f"s{k}" for k in range(300)], []
+
+        def holds(t):
+            calls.append(t)
+            return "" if len(t) > 150 and t[:150] == text[:150] else None
+
+        small = _shrink_text(text, holds)
+        assert len(small) == 151 and small[:150] == text[:150] and len(calls) <= 2 * 300
 
     def test_injected_structure_bug_is_caught(self, monkeypatch):
         real = selftest_mod.naive_mrp

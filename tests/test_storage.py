@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppheap.augment import augment
 from ppheap.cli import main
 from ppheap.coding import make_alphabet, parse_pstring
 from ppheap.errors import IndexFormatError
@@ -23,7 +22,7 @@ from conftest import build_audited, random_text, token_text
 
 def make_bundle(raw, alphabet, mode="char"):
     idx = build_audited(raw, alphabet)
-    return IndexBundle(idx, augment(idx), mode)
+    return IndexBundle(idx, None, mode)
 
 
 class TestRoundTrip:
@@ -64,7 +63,7 @@ class TestRoundTrip:
         raw = ["for", "i", "in", "total", ":", "x", "=", "i"]
         alpha = make_alphabet(["for", "in", ":", "="], ["i", "total", "x"])
         idx = build_audited(raw, alpha)
-        blob = dumps(IndexBundle(idx, augment(idx), "token", wildcard=True))
+        blob = dumps(IndexBundle(idx, None, "token", wildcard=True))
         assert "\nparameters *\n" in blob
         again = loads(blob)
         assert again.wildcard
@@ -170,16 +169,16 @@ class TestValidation:
         alpha = make_alphabet(["a b"], ["x"])
         idx = build_audited([], alpha)
         with pytest.raises(IndexFormatError):
-            dumps(IndexBundle(idx, augment(idx), "token"))
+            dumps(IndexBundle(idx, None, "token"))
 
     def test_unstorable_wildcard_rejected(self):
         idx = build_audited(["*"], make_alphabet([], ["*"]))
         # a concrete lone '*' would read back as the wildcard
         with pytest.raises(IndexFormatError):
-            dumps(IndexBundle(idx, augment(idx), "token"))
+            dumps(IndexBundle(idx, None, "token"))
         # char mode has no wildcard: '*' is an ordinary symbol there
         with pytest.raises(IndexFormatError):
-            dumps(IndexBundle(idx, augment(idx), "char", wildcard=True))
+            dumps(IndexBundle(idx, None, "char", wildcard=True))
 
     def test_unknown_mode_not_written(self, ab_uvxy):
         with pytest.raises(IndexFormatError, match="mode must be"):
